@@ -177,6 +177,15 @@ wait "$SERVE_PID"
 echo "daemon drained cleanly after overload"
 rm -rf "$LOAD_DIR"
 
+echo "==> end-to-end benchmark smoke (serve_batch, 2 s)"
+# A short run of the BENCHMARK.json command on the pipelined batch-frame
+# workload, through a live daemon on loopback. It exits 1 when a reply
+# carries a wrong label and 2 when the run is invalid, and either fails CI.
+# Its timings are not judged here: two seconds on a shared runner say
+# nothing about speed.
+cargo run --release --offline --manifest-path gana-benchmark/Cargo.toml \
+    --bin gana-benchmark -- --workload serve_batch --seed 1 --seconds 2
+
 echo "==> bench smoke (report-only -> BENCH_pipeline.json)"
 # Absolute timings flake on shared runners, so this stage reports but never
 # gates: a bench failure is surfaced without failing CI.

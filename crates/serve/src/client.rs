@@ -13,6 +13,7 @@ use crate::frame::{self, FrameError};
 use crate::job::Annotation;
 use crate::metrics::StatsSnapshot;
 use crate::protocol::{Request, Response};
+use crate::transport::set_nodelay;
 use gana_core::Task;
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -133,7 +134,10 @@ fn dial(addr: &impl ToSocketAddrs, policy: RetryPolicy) -> Result<TcpStream, Cli
     let mut attempt = 1;
     loop {
         match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
+            Ok(stream) => {
+                set_nodelay(&stream)?;
+                return Ok(stream);
+            }
             Err(err) if err.kind() == ErrorKind::ConnectionRefused && attempt < attempts => {
                 std::thread::sleep(policy.delay(attempt));
                 attempt += 1;
@@ -202,6 +206,7 @@ impl Client {
     /// health probes that need [`TcpStream::connect_timeout`] dialing,
     /// which `connect_*` (via [`ToSocketAddrs`]) cannot express.
     pub fn from_stream_binary(stream: TcpStream) -> Result<Client, ClientError> {
+        set_nodelay(&stream)?;
         let peer = stream.peer_addr()?;
         let writer = stream.try_clone()?;
         Ok(Client {
@@ -251,7 +256,9 @@ impl Client {
     }
 
     /// Sends one request without awaiting a response (pipelining; pair with
-    /// [`Client::read_reply`]).
+    /// [`Client::read_reply`]). The frame is on the wire when this returns:
+    /// nothing is buffered, so a caller may send to several daemons before
+    /// it reads any reply.
     pub fn send_request(&mut self, request: &Request) -> Result<(), ClientError> {
         self.send(request)
     }

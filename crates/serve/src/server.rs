@@ -1,10 +1,12 @@
 //! TCP front end for an [`Engine`]: the `gana serve` daemon.
 //!
-//! One thread accepts connections (non-blocking, so it can poll the
-//! shutdown flag), one thread per connection speaks the wire protocol, and
-//! one thread emits a periodic stats log line. A `shutdown` request — or
-//! [`ServerHandle::shutdown`] — stops admission, drains every in-flight
-//! job through [`Engine::shutdown`], and then joins all threads.
+//! One thread accepts connections, one thread per connection speaks the
+//! wire protocol, and one thread emits a periodic stats log line. The
+//! accept blocks, so a new connection is taken the moment it arrives; a
+//! `shutdown` request — or [`ServerHandle::shutdown`] — raises the stop
+//! flag, wakes the accept with one connection to the bound port, drains
+//! every in-flight job through [`Engine::shutdown`], and then joins all
+//! threads.
 //!
 //! Each connection auto-detects its protocol from the first byte: the
 //! binary frame magic (`0xBF`, see [`crate::frame`]) selects length-prefixed
@@ -20,7 +22,7 @@
 use crate::engine::Engine;
 use crate::job::{JobError, JobRequest, SubmitError};
 use crate::protocol::{Request, Response};
-use crate::transport::{accept_transport, ReadRequest, Transport, POLL};
+use crate::transport::{accept_transport, wake_accept, ReadRequest, Transport, POLL};
 use parking_lot::Mutex;
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -53,6 +55,18 @@ impl Default for ServerConfig {
 struct ServerShared {
     engine: Arc<Engine>,
     stop: AtomicBool,
+    /// The bound listener address, dialed once to wake the accept on stop.
+    addr: SocketAddr,
+}
+
+impl ServerShared {
+    /// Raises the stop flag and wakes the blocked accept; the first caller
+    /// does the wake, later ones find the flag already up.
+    fn stop(&self) {
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            wake_accept(self.addr);
+        }
+    }
 }
 
 /// Handle to a running server; dropping it shuts the server down.
@@ -76,7 +90,7 @@ impl ServerHandle {
     /// Requests shutdown and blocks until all jobs drained and all server
     /// threads exited. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.stop();
         self.shared.engine.shutdown();
         let threads: Vec<_> = self.threads.lock().drain(..).collect();
         for thread in threads {
@@ -109,11 +123,11 @@ impl Drop for ServerHandle {
 /// Binds the address and spawns the accept, connection, and stats threads.
 pub fn serve(engine: Arc<Engine>, config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
     let shared = Arc::new(ServerShared {
         engine,
         stop: AtomicBool::new(false),
+        addr: local_addr,
     });
 
     let mut threads = Vec::new();
@@ -153,6 +167,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept() {
+            // The wake-up connection from `ServerShared::stop`.
+            Ok(_) if shared.stop.load(Ordering::SeqCst) => break,
             Ok((stream, peer)) => {
                 let shared = Arc::clone(shared);
                 let spawned = std::thread::Builder::new()
@@ -170,8 +186,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
                 }
                 connections.retain(|c| !c.is_finished());
             }
-            Err(err) if err.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(err) => {
+                // Back off so a persistent failure (e.g. out of file
+                // descriptors) does not spin.
                 eprintln!("[gana-serve] accept: {err}");
                 std::thread::sleep(POLL);
             }
@@ -274,7 +291,7 @@ fn dispatch_loop(
             }
             Request::Shutdown => {
                 transport.write_response(&Response::Bye)?;
-                shared.stop.store(true, Ordering::SeqCst);
+                shared.stop();
                 shared.engine.shutdown();
                 return Ok(());
             }

@@ -11,16 +11,47 @@
 //!
 //! All reads poll a caller-owned stop flag every [`POLL`], so an idle or
 //! half-dead connection never keeps a draining server alive.
+//!
+//! Every stream the serving stack opens or accepts sets `TCP_NODELAY`
+//! (here and in [`crate::client`]): a request or reply group is several
+//! frames written back to back, and with Nagle's algorithm on, each frame
+//! after the first waits for the peer's delayed ACK (~40 ms) before it
+//! leaves.
 
 use crate::frame;
 use crate::protocol::{Request, Response};
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// How often blocked reads re-check the stop flag.
 pub const POLL: Duration = Duration::from_millis(50);
+
+/// Turns Nagle's algorithm off on a serve-protocol stream.
+///
+/// Writers keep one encoded frame (or text line) per `write_all`, and
+/// nothing buffers between frames, so each frame leaves as soon as it is
+/// written instead of waiting behind unacknowledged data for the peer's
+/// delayed ACK.
+pub(crate) fn set_nodelay(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
+}
+
+/// Wakes an accept loop blocked on the listener bound at `addr`, after its
+/// stop flag was raised: one throwaway connection makes the blocking
+/// `accept` return so the loop re-checks the flag. An unspecified bind
+/// address (`0.0.0.0`, `::`) is dialed on loopback. Errors are ignored:
+/// a listener that is already gone needs no wake-up.
+pub fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+}
 
 /// What a transport's request read produced.
 pub enum ReadRequest {
@@ -54,12 +85,13 @@ pub trait Transport {
 /// Accepts a connection and returns the transport matching its first byte:
 /// binary framing when it is the frame magic, text otherwise. Returns
 /// `None` when the peer closes before sending anything or the stop flag is
-/// raised while waiting. Installs the [`POLL`] read timeout as a side
-/// effect.
+/// raised while waiting. Installs the [`POLL`] read timeout and sets
+/// `TCP_NODELAY` as side effects.
 pub fn accept_transport(
     stream: TcpStream,
     stop: &AtomicBool,
 ) -> io::Result<Option<Box<dyn Transport + Send>>> {
+    set_nodelay(&stream)?;
     stream.set_read_timeout(Some(POLL))?;
     let writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);

@@ -28,7 +28,7 @@ use crate::topology::Topology;
 use gana_incremental::routing::netlist_key;
 use gana_serve::client::{Client, RetryPolicy};
 use gana_serve::protocol::{Request, Response};
-use gana_serve::transport::{accept_transport, ReadRequest, Transport};
+use gana_serve::transport::{accept_transport, wake_accept, ReadRequest, Transport};
 use gana_serve::StatsSnapshot;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -61,12 +61,25 @@ impl Default for RouterConfig {
     }
 }
 
+/// Back-off after a failed `accept`.
 const POLL: Duration = Duration::from_millis(50);
 
 struct RouterShared {
     topology: Arc<Topology>,
     retry: RetryPolicy,
     stop: AtomicBool,
+    /// The bound listener address, dialed once to wake the accept on stop.
+    addr: SocketAddr,
+}
+
+impl RouterShared {
+    /// Raises the stop flag and wakes the blocked accept; the first caller
+    /// does the wake, later ones find the flag already up.
+    fn stop(&self) {
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            wake_accept(self.addr);
+        }
+    }
 }
 
 /// Handle to a running router; dropping it shuts the router down (shard
@@ -96,7 +109,7 @@ impl RouterHandle {
 
     /// Stops accepting, closes connections, joins all threads. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.stop();
         let threads: Vec<_> = self.threads.lock().drain(..).collect();
         for thread in threads {
             let _ = thread.join();
@@ -121,12 +134,12 @@ impl Drop for RouterHandle {
 /// Binds the router address and spawns its accept loop.
 pub fn serve_router(topology: Arc<Topology>, config: RouterConfig) -> io::Result<RouterHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
     let shared = Arc::new(RouterShared {
         topology,
         retry: config.upstream_retry,
         stop: AtomicBool::new(false),
+        addr: local_addr,
     });
     let accept_shared = Arc::clone(&shared);
     let accept = std::thread::Builder::new()
@@ -143,6 +156,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
     let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept() {
+            // The wake-up connection from `RouterShared::stop`.
+            Ok(_) if shared.stop.load(Ordering::SeqCst) => break,
             Ok((stream, peer)) => {
                 let shared = Arc::clone(shared);
                 let spawned = std::thread::Builder::new()
@@ -160,7 +175,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
                 }
                 connections.retain(|c| !c.is_finished());
             }
-            Err(err) if err.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(err) => {
                 eprintln!("[gana-shard] accept: {err}");
                 std::thread::sleep(POLL);
@@ -311,7 +325,7 @@ fn dispatch_loop(transport: &mut dyn Transport, shared: &RouterShared) -> io::Re
                 // Planned fleet shutdown: acknowledge, stop admission, and
                 // let whoever owns the supervisor drain the shards.
                 transport.write_response(&Response::Bye)?;
-                shared.stop.store(true, Ordering::SeqCst);
+                shared.stop();
                 return Ok(());
             }
             Request::Stats => {
