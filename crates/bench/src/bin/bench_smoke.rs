@@ -558,49 +558,6 @@ fn timing_suite() {
         results.insert(name.to_string(), m);
     }
 
-    // f64 vs int8 serving cost: the same cold and batched workloads as
-    // above through quantized pipelines, so the per-request ratio is
-    // tracked from day one.
-    let ota_q = ota_pipeline(4).with_quantized();
-    eprintln!("bench: cold_annotate_ota_quantized");
-    results.insert(
-        "cold_annotate_ota_quantized".to_string(),
-        measure(1, || {
-            ota_q.recognize(&ota.circuit).expect("runs");
-        }),
-    );
-    let rf_q = rf_pipeline(4).with_quantized();
-    eprintln!("bench: cold_annotate_rf_receiver_quantized");
-    results.insert(
-        "cold_annotate_rf_receiver_quantized".to_string(),
-        measure(1, || {
-            rf_q.recognize(&rx.circuit).expect("runs");
-        }),
-    );
-    eprintln!("bench: cold_annotate_phased_array_1t_quantized");
-    results.insert(
-        "cold_annotate_phased_array_1t_quantized".to_string(),
-        measure(1, || {
-            rf_q.recognize(&pa.circuit).expect("runs");
-        }),
-    );
-    let batch_q = rf_pipeline(4).with_quantized();
-    let (_, _, pa_sample_q) = batch_q.prepare(&pa.circuit).expect("prepares");
-    let batch_q_refs: Vec<Vec<&GraphSample>> = batches
-        .iter()
-        .map(|&b| (0..b).map(|_| &pa_sample_q).collect())
-        .collect();
-    eprintln!("bench: batched_annotate_phased_array_b{{1,4,8}}_quantized (interleaved)");
-    let measurements = measure_batched_interleaved(1, &batches, |slot| {
-        batch_q.predict_samples(&batch_q_refs[slot]).expect("runs");
-    });
-    for (batch, m) in batches.iter().zip(measurements) {
-        results.insert(
-            format!("batched_annotate_phased_array_b{batch}_quantized"),
-            m,
-        );
-    }
-
     // End-to-end service throughput with batching on: one worker, bursts
     // of 8 phased-array requests, a short gather window. Reported as
     // per-request latency so it is comparable with the entries above.
@@ -822,49 +779,25 @@ fn timing_suite() {
     }
 
     // A bucket-crossing resistor revalue: the edit dirties its region's WL
-    // fingerprint, so the GCN re-runs — the steady-state edit loop the
-    // Chebyshev basis cache accelerates. The `_nocache` twin recomputes
-    // the recurrence every iteration; the cached entry hits from the
-    // second iteration on (the warm-up populates it), so the pair reads
-    // directly as the recurrence cost the cache removes. Both sides run
-    // at the paper's chosen filter size (K=32, Fig. 5) — that is where
-    // the recurrence dominates the forward pass; at the quick-profile
-    // K=4 used elsewhere in this file it is a ~1% sliver of the update.
-    // The pair is measured interleaved (one cached + one uncached update
-    // per round) so shared-runner drift cannot bias a ~10% effect.
+    // fingerprint, so the GCN re-runs on every update — the steady-state
+    // edit loop. It runs at the paper's chosen filter size (K=32, Fig. 5),
+    // where the Chebyshev recurrence dominates the forward pass; at the
+    // quick-profile K=4 used elsewhere in this file it is a ~1% sliver of
+    // the update.
     let revalued = cross_a_bucket(&pa.circuit);
-    let cache = std::sync::Arc::new(gana_gnn::BasisCache::new(32 << 20));
-    let cached_inc =
-        IncrementalPipeline::new(rf_pipeline(32).with_basis_cache(std::sync::Arc::clone(&cache)));
-    let cached_baseline = cached_inc
+    let revalue_inc = IncrementalPipeline::new(rf_pipeline(32));
+    let revalue_baseline = revalue_inc
         .annotate_full(&pa.circuit)
         .expect("cold baseline");
-    let plain_inc = IncrementalPipeline::new(rf_pipeline(32));
-    let plain_baseline = plain_inc.annotate_full(&pa.circuit).expect("cold baseline");
-    eprintln!("bench: incremental_revalue_phased_array{{,_nocache}} (paired)");
-    let revalue_pair = measure_batched_interleaved(1, &[1, 1], |slot| {
-        if slot == 0 {
-            cached_inc
-                .update(&cached_baseline, &revalued)
+    eprintln!("bench: incremental_revalue_phased_array");
+    results.insert(
+        "incremental_revalue_phased_array".to_string(),
+        measure(1, || {
+            revalue_inc
+                .update(&revalue_baseline, &revalued)
                 .expect("runs");
-        } else {
-            plain_inc.update(&plain_baseline, &revalued).expect("runs");
-        }
-    });
-    let stats = cache.stats();
-    eprintln!(
-        "  basis cache: {} hits, {} misses, {} B",
-        stats.hits, stats.misses, stats.bytes
+        }),
     );
-    for (name, m) in [
-        "incremental_revalue_phased_array",
-        "incremental_revalue_phased_array_nocache",
-    ]
-    .into_iter()
-    .zip(revalue_pair)
-    {
-        results.insert(name.to_string(), m);
-    }
 
     // Cold vs warm boot to first answer: the cold path must train a model
     // and build the primitive library before the phased array can be
@@ -970,41 +903,6 @@ fn timing_suite() {
             "spmm dispatch ({}) vs scalar: {:.2}x",
             gana_gnn::kernel::active().name(),
             scalar.median_ns as f64 / dispatch.median_ns.max(1) as f64
-        );
-    }
-
-    if let (Some(f64_cold), Some(int8_cold)) = (
-        results.get("cold_annotate_phased_array_1t"),
-        results.get("cold_annotate_phased_array_1t_quantized"),
-    ) {
-        eprintln!(
-            "int8 vs f64 cold phased-array annotate: {:.2}x",
-            f64_cold.median_ns as f64 / int8_cold.median_ns.max(1) as f64
-        );
-    }
-
-    if let (Some(f64_b1), Some(int8_b1)) = (
-        results.get("batched_annotate_phased_array_b1"),
-        results.get("batched_annotate_phased_array_b1_quantized"),
-    ) {
-        // Deliberately framed as an overhead, not a speedup: int8 b1 is
-        // expected to be slower than f64 on this box (the win is model
-        // footprint — see EXPERIMENTS.md), so the diff stage should read a
-        // stable ratio here, not noise.
-        eprintln!(
-            "quantized_overhead: int8 b1 vs f64 b1 per-request = {:.2}x \
-             (>= 1 expected; int8 buys footprint, not latency)",
-            int8_b1.median_ns as f64 / f64_b1.median_ns.max(1) as f64
-        );
-    }
-
-    if let (Some(cached), Some(nocache)) = (
-        results.get("incremental_revalue_phased_array"),
-        results.get("incremental_revalue_phased_array_nocache"),
-    ) {
-        eprintln!(
-            "basis cache on revalued edit: {:.2}x vs uncached recurrence",
-            nocache.median_ns as f64 / cached.median_ns.max(1) as f64
         );
     }
 

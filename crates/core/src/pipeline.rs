@@ -3,7 +3,7 @@
 use crate::hierarchy::{self, HierarchyNode};
 use crate::workspace::Workspace;
 use crate::{post1, post2, Result};
-use gana_gnn::{BasisCache, GcnModel, GraphSample};
+use gana_gnn::{GcnModel, GraphSample};
 use gana_graph::{CircuitGraph, GraphOptions, VertexId};
 use gana_netlist::{preprocess, Circuit, PreprocessOptions};
 use gana_par::Parallelism;
@@ -111,7 +111,6 @@ pub struct Pipeline {
     coarsen_seed: u64,
     parallelism: Parallelism,
     workspace: Arc<Workspace>,
-    basis_cache: Option<Arc<BasisCache>>,
 }
 
 impl Pipeline {
@@ -144,7 +143,6 @@ impl Pipeline {
             coarsen_seed: 0,
             parallelism: Parallelism::serial(),
             workspace: Arc::new(Workspace::new()),
-            basis_cache: None,
         }
     }
 
@@ -180,46 +178,8 @@ impl Pipeline {
     /// serving engine passes one workspace per worker instead, keeping the
     /// steady-state footprint at one buffer set per thread.
     pub fn with_workspace(mut self, workspace: Arc<Workspace>) -> Pipeline {
-        // The basis cache rides on the workspace's GNN buffers, so a
-        // workspace swap must re-attach (or clear) it.
-        workspace.set_basis_cache(self.basis_cache.clone());
         self.workspace = workspace;
         self
-    }
-
-    /// Attaches a shared [`BasisCache`]: repeated inference over an
-    /// unchanged topology and feature matrix (e.g. incremental re-annotation
-    /// after a revalued R/C/L edit crossed a feature bucket) reuses the
-    /// Chebyshev basis instead of re-running the recurrence. Cached bases
-    /// are content-addressed, so reuse is byte-identical to recomputation.
-    pub fn with_basis_cache(mut self, cache: Arc<BasisCache>) -> Pipeline {
-        self.workspace.set_basis_cache(Some(Arc::clone(&cache)));
-        self.basis_cache = Some(cache);
-        self
-    }
-
-    /// The attached Chebyshev basis cache, if any.
-    pub fn basis_cache(&self) -> Option<&Arc<BasisCache>> {
-        self.basis_cache.as_ref()
-    }
-
-    /// Switches GCN inference to int8-quantized tap weights
-    /// ([`GcnModel::quantize_weights`]): per-output-channel affine codes
-    /// with dequantize-on-accumulate, bounded to half a quantization step
-    /// of divergence per weight. The quantization gate tests assert the
-    /// annotations keep the same argmax across all dataset families.
-    pub fn with_quantized(mut self) -> Pipeline {
-        if !self.model.is_quantized() {
-            let mut model = (*self.model).clone();
-            model.quantize_weights();
-            self.model = Arc::new(model);
-        }
-        self
-    }
-
-    /// Whether inference runs the int8-quantized weights.
-    pub fn is_quantized(&self) -> bool {
-        self.model.is_quantized()
     }
 
     /// The annotation workspace (scratch buffers + prune/footprint counters).
@@ -323,39 +283,31 @@ impl Pipeline {
     }
 
     /// Runs GCN inference on a prepared sample through the pipeline's
-    /// workspace buffers (byte-identical to
-    /// [`GcnModel::predict_with`] on fresh allocations).
+    /// workspace buffers (byte-identical to [`GcnModel::predict`] on a
+    /// fresh workspace).
     ///
     /// # Errors
     ///
     /// Propagates model shape errors.
     pub fn predict_sample(&self, sample: &GraphSample) -> Result<Vec<usize>> {
-        Ok(self
-            .workspace
-            .predict(&self.model, &self.parallelism, sample)?)
+        let mut out = self.predict_samples(&[sample])?;
+        Ok(out.pop().unwrap_or_default())
     }
 
     /// Runs GCN inference on a whole batch of prepared samples in one
-    /// fused forward pass, returning one prediction vector per sample in
-    /// order. The samples' Laplacians fuse into a block-diagonal operator
-    /// so the batch shares a single Chebyshev sweep per layer
-    /// ([`GcnModel::predict_batch_into`]); results are byte-identical to
-    /// calling [`Pipeline::predict_sample`] per sample. A batch of one
-    /// takes the single-sample path directly, skipping the fusion
-    /// assembly — output is the same either way, so batched and serial
-    /// callers share this one entry point.
+    /// forward pass ([`GcnModel::forward`]), returning one prediction
+    /// vector per sample in order. Two or more samples fuse into a
+    /// block-diagonal operator so the batch shares a single Chebyshev sweep
+    /// per layer; results are byte-identical to calling
+    /// [`Pipeline::predict_sample`] per sample.
     ///
     /// # Errors
     ///
     /// Propagates model shape errors for any sample in the batch.
     pub fn predict_samples(&self, samples: &[&GraphSample]) -> Result<Vec<Vec<usize>>> {
-        match samples {
-            [] => Ok(Vec::new()),
-            [only] => Ok(vec![self.predict_sample(only)?]),
-            _ => Ok(self
-                .workspace
-                .predict_batch(&self.model, &self.parallelism, samples)?),
-        }
+        Ok(self
+            .workspace
+            .forward(&self.model, &self.parallelism, samples)?)
     }
 
     /// Runs postprocessing and hierarchy construction on externally
@@ -598,44 +550,6 @@ mod tests {
         let mut sorted = design.constraints.clone();
         sorted.dedup();
         assert_eq!(sorted.len(), design.constraints.len(), "no duplicates");
-    }
-
-    #[test]
-    fn quantized_and_cached_pipeline_matches_plain_recognition() {
-        let circuit = gana_netlist::parse(
-            "M0 o1 i1 t gnd! NMOS\nM1 o2 i2 t gnd! NMOS\nM2 t vb gnd! gnd! NMOS\nM3 vb vb gnd! gnd! NMOS\nR1 vdd! vb 10k\n",
-        )
-        .expect("valid");
-        let plain = tiny_pipeline(Task::OtaBias, &["ota", "bias"]);
-        let expected = plain.recognize(&circuit).expect("runs");
-        let cache = Arc::new(BasisCache::new(16 << 20));
-        let tuned = tiny_pipeline(Task::OtaBias, &["ota", "bias"])
-            .with_quantized()
-            .with_basis_cache(Arc::clone(&cache));
-        assert!(tuned.is_quantized());
-        for _ in 0..2 {
-            let design = tuned.recognize(&circuit).expect("runs");
-            assert_eq!(design.gcn_class, expected.gcn_class);
-            assert_eq!(design.final_label, expected.final_label);
-        }
-        let stats = cache.stats();
-        assert!(stats.hits > 0, "second run should hit: {stats:?}");
-    }
-
-    #[test]
-    fn with_workspace_reattaches_the_basis_cache() {
-        let cache = Arc::new(BasisCache::new(16 << 20));
-        let pipeline = tiny_pipeline(Task::OtaBias, &["ota", "bias"])
-            .with_basis_cache(Arc::clone(&cache))
-            .with_workspace(Arc::new(Workspace::new()));
-        let circuit =
-            gana_netlist::parse("M0 o1 i1 t gnd! NMOS\nM1 o2 i2 t gnd! NMOS\n").expect("valid");
-        pipeline.recognize(&circuit).expect("runs");
-        let stats = cache.stats();
-        assert!(
-            stats.hits + stats.misses > 0,
-            "swapped-in workspace must still consult the cache: {stats:?}"
-        );
     }
 
     #[test]

@@ -9,18 +9,18 @@
 //! annotation stops allocating: buffers settle on the high-water mark of
 //! the requests seen so far.
 //!
-//! Reuse is invisible in the output. Every in-place kernel runs the exact
-//! operation sequence of its allocating twin, the VF2 scratch is reset
+//! Reuse is invisible in the output. Every GCN kernel overwrites the
+//! buffers it writes, the VF2 scratch is reset
 //! before each search, and the candidate prefilter only skips templates
 //! that provably have no matches — so annotation through a shared, reused
 //! workspace is byte-identical to the cold path at any thread count (the
 //! workspace-reuse and parallel-equivalence suites enforce this).
 
-use gana_gnn::{BasisCache, GcnModel, GnnWorkspace, GraphSample};
+use gana_gnn::{GcnModel, GnnWorkspace, GraphSample};
 use gana_par::Parallelism;
 use gana_primitives::MatcherWorkspace;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Scratch buffers and counters shared across the requests of one worker.
 ///
@@ -60,52 +60,14 @@ impl Workspace {
         &self.matcher
     }
 
-    /// Attaches (or detaches) a shared Chebyshev basis cache to the GNN
-    /// buffers. Cache reuse is byte-identical to recomputation (the cache
-    /// key is a content hash of the operator and signal), so this only
-    /// affects latency. If the buffers are momentarily contended the
-    /// request that raced falls back to fresh uncached buffers — same
-    /// output, no cache win for that one request.
-    pub fn set_basis_cache(&self, cache: Option<Arc<BasisCache>>) {
-        if let Ok(mut ws) = self.gnn.lock() {
-            ws.set_basis_cache(cache);
-        }
-    }
-
-    /// Runs GCN inference through the reusable buffers.
+    /// Runs the GCN forward pass ([`GcnModel::forward`]) over one sample
+    /// or a fused batch through the reusable buffers, returning one
+    /// prediction vector per sample.
     ///
     /// # Errors
     ///
-    /// Propagates model shape errors, exactly as
-    /// [`GcnModel::predict_with`] would.
-    pub fn predict(
-        &self,
-        model: &GcnModel,
-        par: &Parallelism,
-        sample: &GraphSample,
-    ) -> gana_gnn::Result<Vec<usize>> {
-        match self.gnn.try_lock() {
-            Ok(mut ws) => {
-                let out = model.predict_into(par, sample, &mut ws);
-                self.high_water_bytes
-                    .fetch_max(ws.heap_bytes() as u64, Ordering::Relaxed);
-                out
-            }
-            // Contended or poisoned: a temporary workspace produces the
-            // identical result, just without the reuse win.
-            Err(_) => model.predict_into(par, sample, &mut GnnWorkspace::new()),
-        }
-    }
-
-    /// Runs one fused GCN forward over a whole batch of samples through
-    /// the reusable buffers, returning one prediction vector per sample.
-    /// Byte-identical to calling [`Workspace::predict`] per sample (see
-    /// [`GcnModel::predict_batch_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model shape errors for any sample in the batch.
-    pub fn predict_batch(
+    /// Propagates model shape errors for any sample.
+    pub fn forward(
         &self,
         model: &GcnModel,
         par: &Parallelism,
@@ -113,12 +75,14 @@ impl Workspace {
     ) -> gana_gnn::Result<Vec<Vec<usize>>> {
         match self.gnn.try_lock() {
             Ok(mut ws) => {
-                let out = model.predict_batch_into(par, samples, &mut ws);
+                let out = model.forward(par, samples, &mut ws);
                 self.high_water_bytes
                     .fetch_max(ws.heap_bytes() as u64, Ordering::Relaxed);
                 out
             }
-            Err(_) => model.predict_batch_into(par, samples, &mut GnnWorkspace::new()),
+            // Contended or poisoned: a temporary workspace produces the
+            // identical result, just without the reuse win.
+            Err(_) => model.forward(par, samples, &mut GnnWorkspace::new()),
         }
     }
 }

@@ -45,9 +45,8 @@ fn pipeline(task: Task, names: &[&str]) -> Pipeline {
 /// Prepares every circuit through `pipeline`, then checks that the fused
 /// batch prediction equals the per-sample predictions — for the whole
 /// pool as one batch, for the two batches split at `pivot`, for every
-/// singleton through the fused model path (the pipeline dispatches
-/// singletons to the serial path, so hit the model directly too), and for
-/// a `MAX_BATCH`-wide batch cycling the pool.
+/// singleton through the model's forward on a workspace of its own, and
+/// for a `MAX_BATCH`-wide batch cycling the pool.
 fn assert_batched_matches_serial(pipeline: &Pipeline, circuits: &[&Circuit], pivot: usize) {
     let prepared: Vec<GraphSample> = circuits
         .iter()
@@ -72,9 +71,9 @@ fn assert_batched_matches_serial(pipeline: &Pipeline, circuits: &[&Circuit], piv
     for (s, expected) in refs.iter().zip(&serial) {
         let fused = pipeline
             .model()
-            .predict_batch_into(pipeline.parallelism(), &[s], &mut ws)
+            .forward(pipeline.parallelism(), &[s], &mut ws)
             .expect("predicts");
-        assert_eq!(&fused[0], expected, "fused singleton batch");
+        assert_eq!(&fused[0], expected, "singleton batch");
     }
 
     let cycled: Vec<&GraphSample> = (0..MAX_BATCH).map(|i| refs[i % refs.len()]).collect();

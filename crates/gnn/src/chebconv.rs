@@ -5,7 +5,6 @@
 //! so a forward pass costs `K` sparse–dense products — `O(K·n)` for a
 //! bounded-degree graph, as the paper emphasizes.
 
-use crate::quant::QuantizedMatrix;
 use crate::{GnnError, Result};
 use gana_par::Parallelism;
 use gana_sparse::{CsrMatrix, DenseMatrix};
@@ -100,7 +99,7 @@ impl ChebConv {
     /// byte-identical to the allocating recurrence. The combine step runs
     /// the fused [`DenseMatrix::scale_axpy`] sweep, which is bit-identical
     /// to the historical two-pass `scale_in_place` + `axpy` form.
-    pub(crate) fn chebyshev_basis_into(
+    fn chebyshev_basis_into(
         &self,
         par: &Parallelism,
         laplacian: &CsrMatrix,
@@ -121,49 +120,6 @@ impl ChebConv {
             let t = &mut rest[0];
             laplacian.mul_dense_par_into(par, &prev[k - 1], t)?;
             t.scale_axpy(2.0, -1.0, &prev[k - 2])?;
-        }
-        Ok(())
-    }
-
-    /// The tap-weight accumulation `Y = Σ_k T_k(L̂)X · W_k + 1·bᵀ` given an
-    /// already-computed Chebyshev basis — the back half of
-    /// [`ChebConv::forward_into`], split out so callers holding a cached
-    /// basis (see [`crate::BasisCache`]) can skip the recurrence entirely.
-    /// `basis` may hold more than `K` matrices (a recycled workspace); only
-    /// the first `K` are read. When `quantized` tap weights are supplied
-    /// they replace the f64 weights via dequantize-on-accumulate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if the basis signals do not
-    /// match the layer's input dimension.
-    pub(crate) fn accumulate_from_basis(
-        &self,
-        basis: &[DenseMatrix],
-        quantized: Option<&[QuantizedMatrix]>,
-        term: &mut DenseMatrix,
-        y: &mut DenseMatrix,
-    ) -> Result<()> {
-        let rows = basis.first().map_or(0, DenseMatrix::rows);
-        y.resize(rows, self.out_dim);
-        match quantized {
-            Some(taps) => {
-                for (t, q) in basis.iter().zip(taps) {
-                    q.matmul_into(t, term)?;
-                    y.axpy(1.0, term)?;
-                }
-            }
-            None => {
-                for (t, w) in basis.iter().zip(&self.weights) {
-                    t.matmul_into(w, term)?;
-                    y.axpy(1.0, term)?;
-                }
-            }
-        }
-        for r in 0..y.rows() {
-            for (value, b) in y.row_mut(r).iter_mut().zip(&self.bias) {
-                *value += b;
-            }
         }
         Ok(())
     }
@@ -230,41 +186,25 @@ impl ChebConv {
         term: &mut DenseMatrix,
         y: &mut DenseMatrix,
     ) -> Result<()> {
-        self.forward_into_quantized(par, laplacian, x, None, basis, term, y)
-    }
-
-    /// [`ChebConv::forward_into`] with optional int8 tap weights: when
-    /// `quantized` is supplied, the tap accumulation dequantizes on the fly
-    /// ([`QuantizedMatrix::matmul_into`]) instead of reading the f64
-    /// weights. The Chebyshev recurrence — the part a
-    /// [`crate::BasisCache`] hit skips — is unaffected by quantization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if `x` has the wrong number of
-    /// columns or does not match the Laplacian's vertex count.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn forward_into_quantized(
-        &self,
-        par: &Parallelism,
-        laplacian: &CsrMatrix,
-        x: &DenseMatrix,
-        quantized: Option<&[QuantizedMatrix]>,
-        basis: &mut Vec<DenseMatrix>,
-        term: &mut DenseMatrix,
-        y: &mut DenseMatrix,
-    ) -> Result<()> {
         self.check_forward_shapes(laplacian, x)?;
         self.chebyshev_basis_into(par, laplacian, x, basis)?;
-        self.accumulate_from_basis(basis, quantized, term, y)
+        // `basis` may hold more than `K` matrices (a recycled workspace);
+        // the zip reads only the first `K`.
+        y.resize(x.rows(), self.out_dim);
+        for (t, w) in basis.iter().zip(&self.weights) {
+            t.matmul_into(w, term)?;
+            y.axpy(1.0, term)?;
+        }
+        for r in 0..y.rows() {
+            for (value, b) in y.row_mut(r).iter_mut().zip(&self.bias) {
+                *value += b;
+            }
+        }
+        Ok(())
     }
 
     /// The input-shape validation shared by every forward variant.
-    pub(crate) fn check_forward_shapes(
-        &self,
-        laplacian: &CsrMatrix,
-        x: &DenseMatrix,
-    ) -> Result<()> {
+    fn check_forward_shapes(&self, laplacian: &CsrMatrix, x: &DenseMatrix) -> Result<()> {
         if x.cols() != self.in_dim {
             return Err(GnnError::ShapeMismatch(format!(
                 "chebconv expects {} input features, got {}",

@@ -120,7 +120,9 @@ pub fn from_str(text: &str) -> Result<GcnModel> {
     }
     let expected = expected_params
         .ok_or_else(|| GnnError::InvalidConfig("checkpoint has no params block".to_string()))?;
-    let mut params: Vec<f64> = Vec::with_capacity(expected);
+    // Grown from the text, never pre-sized from the declared count: the
+    // file's own length bounds this allocation.
+    let mut params: Vec<f64> = Vec::new();
     let mut bn_layer_count: Option<usize> = None;
     let mut bn_lines: Vec<Vec<f64>> = Vec::new();
     for line in lines {
@@ -155,10 +157,19 @@ pub fn from_str(text: &str) -> Result<GcnModel> {
             params.len()
         )));
     }
+    // Checked before the model is built, so untrusted dimensions never
+    // size an allocation beyond the parameters actually present.
+    let needed = config.parameter_count()?;
+    if needed != params.len() {
+        return Err(GnnError::InvalidConfig(format!(
+            "checkpoint config needs {needed} parameters but contains {}",
+            params.len()
+        )));
+    }
     let mut model = GcnModel::new(config)?;
     model.apply_flat_params(&params)?;
     if let Some(count) = bn_layer_count {
-        if bn_lines.len() != 2 * count {
+        if count.checked_mul(2) != Some(bn_lines.len()) {
             return Err(GnnError::InvalidConfig(format!(
                 "bn_stats declares {count} layers but has {} lines",
                 bn_lines.len()
@@ -302,6 +313,22 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n");
         assert!(from_str(&truncated).is_err());
+    }
+
+    #[test]
+    fn oversized_dimensions_are_rejected_before_allocation() {
+        // A filter order of 2^40 + 2 with an empty or short parameter
+        // block must be a structured error, not an allocation abort.
+        let (model, _) = trained_model();
+        let text = to_string(&model).replace(
+            "filter_order 3\n",
+            &format!("filter_order {}\n", (1u64 << 40) + 2),
+        );
+        assert!(from_str(&text).is_err());
+        let empty = format!("{MAGIC}\nfilter_order {}\nparams 0\n", (1u64 << 40) + 2);
+        assert!(from_str(&empty).is_err());
+        let huge_count = format!("{MAGIC}\nparams {}\n", u64::MAX);
+        assert!(from_str(&huge_count).is_err());
     }
 
     #[test]

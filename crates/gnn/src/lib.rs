@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 mod activation;
-mod basis_cache;
 mod batchnorm;
 mod chebconv;
 pub mod checkpoint;
@@ -37,13 +36,11 @@ pub mod loss;
 pub mod metrics;
 mod model;
 mod optimizer;
-mod quant;
 mod sample;
 mod trainer;
 mod workspace;
 
 pub use activation::Activation;
-pub use basis_cache::{basis_key, BasisCache, BasisCacheStats};
 pub use batchnorm::BatchNorm;
 pub use chebconv::ChebConv;
 pub use coarsen::Coarsening;
@@ -53,7 +50,6 @@ pub use error::GnnError;
 pub use gana_sparse::{kernel, Kernel};
 pub use model::{GcnConfig, GcnModel};
 pub use optimizer::{Adam, Optimizer, Sgd};
-pub use quant::QuantizedMatrix;
 pub use sample::GraphSample;
 pub use trainer::{EpochStats, Trainer, TrainerConfig};
 pub use workspace::GnnWorkspace;

@@ -10,13 +10,11 @@
 //! interconnect ports", Section V-B).
 
 use crate::activation::Activation;
-use crate::basis_cache::{basis_key, BasisGuard};
 use crate::batchnorm::{BatchNorm, BatchNormCache};
 use crate::chebconv::{ChebConv, ChebConvCache};
 use crate::dense_layer::DenseLayer;
 use crate::dropout::Dropout;
 use crate::loss::{cross_entropy, softmax, softmax_in_place};
-use crate::quant::QuantizedMatrix;
 use crate::sample::GraphSample;
 use crate::workspace::GnnWorkspace;
 use crate::{GnnError, Result};
@@ -25,7 +23,6 @@ use gana_sparse::{CsrMatrix, DenseMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Hyperparameters of a [`GcnModel`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,6 +73,48 @@ impl GcnConfig {
     /// Number of conv+pool stages.
     pub fn levels(&self) -> usize {
         self.conv_channels.len()
+    }
+
+    /// Total number of scalar parameters a model of this configuration
+    /// holds, computed in checked arithmetic without allocating anything.
+    /// Loaders compare it with the length of a stored parameter vector
+    /// before they build the model, so untrusted dimensions can never
+    /// drive an allocation larger than the vector they arrived with.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GnnError::InvalidConfig`] for a degenerate configuration
+    /// or a count that overflows `usize`.
+    pub fn parameter_count(&self) -> Result<usize> {
+        self.validate()?;
+        self.checked_parameter_count()
+            .ok_or_else(|| GnnError::InvalidConfig("parameter count overflows usize".to_string()))
+    }
+
+    fn checked_parameter_count(&self) -> Option<usize> {
+        let mut total = 0usize;
+        let mut in_dim = self.input_dim;
+        for &out_dim in &self.conv_channels {
+            // K taps of in_dim × out_dim plus a bias, then batch-norm γ, β.
+            let conv = self
+                .filter_order
+                .checked_mul(in_dim)?
+                .checked_mul(out_dim)?
+                .checked_add(out_dim)?;
+            let bn = if self.batch_norm {
+                out_dim.checked_mul(2)?
+            } else {
+                0
+            };
+            total = total.checked_add(conv)?.checked_add(bn)?;
+            in_dim = out_dim;
+        }
+        let fc1 = in_dim.checked_mul(self.fc_dim)?.checked_add(self.fc_dim)?;
+        let fc2 = self
+            .fc_dim
+            .checked_mul(self.num_classes)?
+            .checked_add(self.num_classes)?;
+        total.checked_add(fc1)?.checked_add(fc2)
     }
 
     fn validate(&self) -> Result<()> {
@@ -161,10 +200,6 @@ pub struct GcnModel {
     fc2: DenseLayer,
     dropout: Dropout,
     rng: StdRng,
-    /// Int8 quantizations of the conv tap weights, per level and tap.
-    /// `Some` switches every inference path to dequantize-on-accumulate;
-    /// dropped automatically whenever the f64 weights change.
-    quant_convs: Option<Vec<Vec<QuantizedMatrix>>>,
 }
 
 impl GcnModel {
@@ -174,7 +209,7 @@ impl GcnModel {
     ///
     /// Returns [`GnnError::InvalidConfig`] for degenerate configurations.
     pub fn new(config: GcnConfig) -> Result<GcnModel> {
-        config.validate()?;
+        config.parameter_count()?;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut convs = Vec::with_capacity(config.levels());
         let mut batch_norms = Vec::new();
@@ -202,91 +237,7 @@ impl GcnModel {
             fc2,
             dropout,
             rng,
-            quant_convs: None,
         })
-    }
-
-    /// Quantizes every Chebyshev tap weight to int8 (per-output-channel
-    /// affine, see [`QuantizedMatrix`]) and switches all inference paths to
-    /// the quantized accumulation. Returns the worst per-entry
-    /// reconstruction error across all taps — the bounded-divergence value
-    /// callers gate on before trusting the quantized model. The FC head
-    /// stays f64 (the conv taps hold the overwhelming share of the
-    /// parameters).
-    pub fn quantize_weights(&mut self) -> f64 {
-        let mut worst = 0.0f64;
-        let mut quant = Vec::with_capacity(self.convs.len());
-        for conv in &self.convs {
-            let mut taps = Vec::with_capacity(conv.filter_order());
-            for w in conv.weights() {
-                let q = QuantizedMatrix::quantize(w);
-                worst = worst.max(q.max_abs_error(w).expect("same shape by construction"));
-                taps.push(q);
-            }
-            quant.push(taps);
-        }
-        self.quant_convs = Some(quant);
-        worst
-    }
-
-    /// Whether inference currently runs the int8 tap weights.
-    pub fn is_quantized(&self) -> bool {
-        self.quant_convs.is_some()
-    }
-
-    /// Reverts all inference paths to the f64 weights.
-    pub fn clear_quantization(&mut self) {
-        self.quant_convs = None;
-    }
-
-    /// The quantized tap weights, per conv level — `None` when inference
-    /// runs f64 (snapshot encoding reads this).
-    pub fn quantized_convs(&self) -> Option<&[Vec<QuantizedMatrix>]> {
-        self.quant_convs.as_deref()
-    }
-
-    /// Installs previously captured quantized tap weights (snapshot
-    /// decoding), validating every tensor against the conv shapes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if the level count, tap count,
-    /// or any tensor shape disagrees with the model.
-    pub fn set_quantized_convs(&mut self, quant: Option<Vec<Vec<QuantizedMatrix>>>) -> Result<()> {
-        if let Some(levels) = &quant {
-            if levels.len() != self.convs.len() {
-                return Err(GnnError::ShapeMismatch(format!(
-                    "{} quantized levels for {} conv layers",
-                    levels.len(),
-                    self.convs.len()
-                )));
-            }
-            for (conv, taps) in self.convs.iter().zip(levels) {
-                if taps.len() != conv.filter_order() {
-                    return Err(GnnError::ShapeMismatch(format!(
-                        "{} quantized taps for filter order {}",
-                        taps.len(),
-                        conv.filter_order()
-                    )));
-                }
-                for q in taps {
-                    if q.shape() != (conv.in_dim(), conv.out_dim()) {
-                        return Err(GnnError::ShapeMismatch(format!(
-                            "quantized tap is {:?}, conv weight is {:?}",
-                            q.shape(),
-                            (conv.in_dim(), conv.out_dim())
-                        )));
-                    }
-                }
-            }
-        }
-        self.quant_convs = quant;
-        Ok(())
-    }
-
-    /// The quantized taps of conv level `l`, when quantization is active.
-    fn quant_for_level(&self, l: usize) -> Option<&[QuantizedMatrix]> {
-        self.quant_convs.as_ref().map(|q| q[l].as_slice())
     }
 
     /// The model configuration.
@@ -296,9 +247,9 @@ impl GcnModel {
 
     /// Total number of scalar parameters.
     pub fn parameter_count(&self) -> usize {
-        let conv: usize = self.convs.iter().map(ChebConv::parameter_count).sum();
-        let bn: usize = self.batch_norms.iter().map(|b| 2 * b.dim()).sum();
-        conv + bn + self.fc1.parameter_count() + self.fc2.parameter_count()
+        self.config
+            .parameter_count()
+            .expect("the constructor checked the configuration")
     }
 
     fn check_sample(&self, sample: &GraphSample) -> Result<()> {
@@ -319,196 +270,46 @@ impl GcnModel {
         Ok(())
     }
 
-    /// Inference: per-original-vertex class predictions.
+    /// Inference: per-original-vertex class predictions, through a fresh
+    /// [`GnnWorkspace`] (a long-lived caller keeps one and calls
+    /// [`GcnModel::forward`]).
     ///
     /// # Errors
     ///
     /// Returns [`GnnError::ShapeMismatch`] if the sample does not match the
     /// model configuration.
     pub fn predict(&self, sample: &GraphSample) -> Result<Vec<usize>> {
-        Ok(self.predict_probabilities(sample)?.1)
+        let mut out = self.forward(&Parallelism::serial(), &[sample], &mut GnnWorkspace::new())?;
+        Ok(out.pop().unwrap_or_default())
     }
 
-    /// [`GcnModel::predict`] spending an intra-request thread budget on the
-    /// Chebyshev sparse matmuls. Bit-identical to [`GcnModel::predict`] at
-    /// any thread count (`gana-par`'s determinism contract).
+    /// The inference forward pass: one prediction vector per sample, in
+    /// order, with every intermediate written into the reusable `ws`.
     ///
-    /// # Errors
+    /// A single sample runs on its own rescaled Laplacians. Two or more
+    /// fuse into one pass: per coarsening level their Laplacians stack into
+    /// a block-diagonal operator ([`CsrMatrix::block_diag_into`], kept in
+    /// the workspace) and their padded feature maps stack vertically, so
+    /// each Chebyshev tap costs one sparse–dense sweep for the whole batch.
     ///
-    /// Returns [`GnnError::ShapeMismatch`] if the sample does not match the
-    /// model configuration.
-    pub fn predict_with(&self, par: &Parallelism, sample: &GraphSample) -> Result<Vec<usize>> {
-        Ok(self.predict_probabilities_with(par, sample)?.1)
-    }
-
-    /// Inference returning `(per-vertex class probabilities, predictions)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if the sample does not match the
-    /// model configuration.
-    pub fn predict_probabilities(&self, sample: &GraphSample) -> Result<(DenseMatrix, Vec<usize>)> {
-        self.predict_probabilities_with(&Parallelism::serial(), sample)
-    }
-
-    /// [`GcnModel::predict_probabilities`] spending an intra-request thread
-    /// budget on the Chebyshev sparse matmuls (bit-identical output).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if the sample does not match the
-    /// model configuration.
-    pub fn predict_probabilities_with(
-        &self,
-        par: &Parallelism,
-        sample: &GraphSample,
-    ) -> Result<(DenseMatrix, Vec<usize>)> {
-        self.check_sample(sample)?;
-        let mut x = sample.features.clone();
-        let mut basis = Vec::new();
-        let mut term = DenseMatrix::default();
-        for (l, conv) in self.convs.iter().enumerate() {
-            let mut y = DenseMatrix::default();
-            conv.forward_into_quantized(
-                par,
-                sample.coarsening.laplacian(l),
-                &x,
-                self.quant_for_level(l),
-                &mut basis,
-                &mut term,
-                &mut y,
-            )?;
-            let y = if self.config.batch_norm {
-                self.batch_norms[l].forward_eval(&y)?
-            } else {
-                y
-            };
-            let y = self.config.activation.forward(&y);
-            x = max_pool2(&y).0;
-        }
-        let (h, _) = self.fc1.forward(&x)?;
-        let h = self.config.activation.forward(&h);
-        let (logits, _) = self.fc2.forward(&h)?;
-        let clusters: Vec<usize> = (0..sample.vertex_count())
-            .map(|v| sample.coarsening.cluster_of(v))
-            .collect();
-        let vertex_logits = logits.gather_rows(&clusters);
-        let probs = softmax(&vertex_logits);
-        let preds = (0..probs.rows())
-            .map(|r| probs.row_argmax(r).unwrap_or(0))
-            .collect();
-        Ok((probs, preds))
-    }
-
-    /// [`GcnModel::predict_with`] writing every intermediate into a
-    /// reusable [`GnnWorkspace`] instead of allocating. Each `_into` kernel
-    /// runs the same operation sequence as its allocating twin, so the
-    /// predictions are byte-identical to [`GcnModel::predict_with`] at any
-    /// thread count, whether the workspace is fresh or has served requests
-    /// of other sizes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if the sample does not match the
-    /// model configuration.
-    pub fn predict_into(
-        &self,
-        par: &Parallelism,
-        sample: &GraphSample,
-        ws: &mut GnnWorkspace,
-    ) -> Result<Vec<usize>> {
-        self.check_sample(sample)?;
-        ws.x.copy_from(&sample.features);
-        let cache = ws.basis_cache.clone();
-        for (l, conv) in self.convs.iter().enumerate() {
-            let laplacian = sample.coarsening.laplacian(l);
-            let quant = self.quant_for_level(l);
-            let taps = conv.filter_order();
-            // Cached bases were computed from byte-identical inputs (the
-            // key is a content hash of Laplacian + signal + tap count), so
-            // a hit skips the Chebyshev recurrence without changing a bit
-            // of the output; the tap accumulation always runs.
-            let key_guard = cache.as_deref().map(|c| {
-                let key = basis_key(laplacian, &ws.x, taps);
-                let guard = BasisGuard::of(laplacian, &ws.x, taps);
-                (c, key, guard)
-            });
-            let hit = key_guard
-                .as_ref()
-                .and_then(|(c, key, guard)| c.get(*key, *guard));
-            match hit {
-                Some(basis) => {
-                    conv.check_forward_shapes(laplacian, &ws.x)?;
-                    conv.accumulate_from_basis(&basis, quant, &mut ws.term, &mut ws.y)?;
-                }
-                None => {
-                    conv.forward_into_quantized(
-                        par,
-                        laplacian,
-                        &ws.x,
-                        quant,
-                        &mut ws.basis,
-                        &mut ws.term,
-                        &mut ws.y,
-                    )?;
-                    if let Some((c, key, guard)) = key_guard {
-                        c.insert(key, guard, Arc::new(ws.basis[..taps].to_vec()));
-                    }
-                }
-            }
-            if self.config.batch_norm {
-                // `term` is free after the tap loop; use it as the
-                // batch-norm output and swap it into place.
-                self.batch_norms[l].forward_eval_into(&ws.y, &mut ws.term)?;
-                std::mem::swap(&mut ws.y, &mut ws.term);
-            }
-            self.config.activation.forward_in_place(&mut ws.y);
-            max_pool2_into(&ws.y, &mut ws.x);
-        }
-        self.fc1.forward_into(&ws.x, &mut ws.y)?;
-        self.config.activation.forward_in_place(&mut ws.y);
-        self.fc2.forward_into(&ws.y, &mut ws.x)?;
-        ws.clusters.clear();
-        ws.clusters
-            .extend((0..sample.vertex_count()).map(|v| sample.coarsening.cluster_of(v)));
-        ws.x.gather_rows_into(&ws.clusters, &mut ws.gathered);
-        softmax_in_place(&mut ws.gathered);
-        Ok((0..ws.gathered.rows())
-            .map(|r| ws.gathered.row_argmax(r).unwrap_or(0))
-            .collect())
-    }
-
-    /// Micro-batched [`GcnModel::predict_into`]: fuses `samples` into one
-    /// forward pass and returns one prediction vector per sample, in order.
-    ///
-    /// Per coarsening level the samples' rescaled Laplacians are stacked
-    /// into a single block-diagonal operator
-    /// ([`CsrMatrix::block_diag`]) and their padded feature maps are
-    /// stacked vertically, so each Chebyshev tap costs one fused
-    /// sparse–dense sweep instead of one per sample — the per-call
-    /// overhead (kernel dispatch, buffer administration, per-tap matmul
-    /// ramp-up) is paid once for the whole batch.
-    ///
-    /// The fusion is exact, not approximate: every stage of the forward is
-    /// row-local (spmm rows accumulate only their own block's entries;
-    /// batch-norm inference uses running statistics; activation, pooling,
-    /// FC layers, gather, and softmax act per row or per row pair), and
-    /// every sample's padded size is even at each pooled level, so stride-2
-    /// pooling never pairs rows across a block boundary. Predictions are
-    /// therefore **byte-identical** to calling
-    /// [`GcnModel::predict_into`] per sample — the equivalence the
-    /// `batched_equivalence` proptests enforce.
-    ///
-    /// An empty batch returns no predictions. A batch of one still runs the
-    /// fused path (callers that want to skip the block-diagonal assembly
-    /// for single samples should call [`GcnModel::predict_into`]
-    /// directly — results match either way).
+    /// The fusion is exact: every stage is row-local (spmm rows accumulate
+    /// only their own block's entries; batch-norm inference uses running
+    /// statistics; activation, pooling, FC layers, gather, and softmax act
+    /// per row or per row pair), and every sample's padded size is even at
+    /// each pooled level, so stride-2 pooling never pairs rows across a
+    /// block boundary. Predictions are therefore **byte-identical** whether
+    /// a sample runs alone or in any batch, at any thread count (the
+    /// intra-request budget tiles each spmm by output rows), and whether
+    /// `ws` is fresh or has served requests of other sizes — the contract
+    /// the `batched_equivalence`, `parallel_equivalence`, and
+    /// `workspace_reuse` suites enforce. An empty batch returns no
+    /// predictions.
     ///
     /// # Errors
     ///
     /// Returns [`GnnError::ShapeMismatch`] if any sample does not match the
     /// model configuration.
-    pub fn predict_batch_into(
+    pub fn forward(
         &self,
         par: &Parallelism,
         samples: &[&GraphSample],
@@ -521,14 +322,17 @@ impl GcnModel {
             self.check_sample(sample)?;
         }
         let levels = self.config.levels();
-        // Assemble the fused operators into the workspace's recycled CSR
-        // buffers: steady-state batched inference allocates nothing here.
-        ws.fused.resize_with(levels, CsrMatrix::default);
-        let mut blocks: Vec<&CsrMatrix> = Vec::with_capacity(samples.len());
-        for (l, fused) in ws.fused.iter_mut().enumerate() {
-            blocks.clear();
-            blocks.extend(samples.iter().map(|s| s.coarsening.laplacian(l)));
-            CsrMatrix::block_diag_into(&blocks, fused);
+        if samples.len() > 1 {
+            // Assemble the fused operators into the workspace's recycled
+            // CSR buffers: steady-state batched inference allocates
+            // nothing here.
+            ws.fused.resize_with(levels, CsrMatrix::default);
+            let mut blocks: Vec<&CsrMatrix> = Vec::with_capacity(samples.len());
+            for (l, fused) in ws.fused.iter_mut().enumerate() {
+                blocks.clear();
+                blocks.extend(samples.iter().map(|s| s.coarsening.laplacian(l)));
+                CsrMatrix::block_diag_into(&blocks, fused);
+            }
         }
         let total_rows: usize = samples.iter().map(|s| s.features.rows()).sum();
         let width = self.config.input_dim;
@@ -539,20 +343,22 @@ impl GcnModel {
             ws.x.as_mut_slice()[offset..offset + len].copy_from_slice(sample.features.as_slice());
             offset += len;
         }
-        // The fused block-diagonal operator differs per batch combination,
-        // so batched inference bypasses the basis cache (the single-sample
-        // path is where topology repeats pay off).
         for (l, conv) in self.convs.iter().enumerate() {
-            conv.forward_into_quantized(
+            let laplacian = match samples {
+                [only] => only.coarsening.laplacian(l),
+                _ => &ws.fused[l],
+            };
+            conv.forward_into(
                 par,
-                &ws.fused[l],
+                laplacian,
                 &ws.x,
-                self.quant_for_level(l),
                 &mut ws.basis,
                 &mut ws.term,
                 &mut ws.y,
             )?;
             if self.config.batch_norm {
+                // `term` is free after the tap loop; use it as the
+                // batch-norm output and swap it into place.
                 self.batch_norms[l].forward_eval_into(&ws.y, &mut ws.term)?;
                 std::mem::swap(&mut ws.y, &mut ws.term);
             }
@@ -596,9 +402,6 @@ impl GcnModel {
     /// [`GnnError::NonFinite`] if the loss or any gradient diverges.
     pub fn train_step(&mut self, sample: &GraphSample) -> Result<StepResult> {
         self.check_sample(sample)?;
-        // Training mutates the f64 weights; stale int8 codes must not
-        // survive into the next inference.
-        self.quant_convs = None;
         let levels = self.config.levels();
 
         // ---- forward ----
@@ -806,8 +609,6 @@ impl GcnModel {
                 self.parameter_count()
             )));
         }
-        // New f64 weights invalidate any existing int8 quantization.
-        self.quant_convs = None;
         let mut cursor = 0;
         let mut take = |n: usize| {
             let slice = &flat[cursor..cursor + n];
@@ -975,6 +776,20 @@ mod tests {
     }
 
     #[test]
+    fn config_parameter_count_matches_the_built_model() {
+        for config in [tiny_config(), GcnConfig::default()] {
+            let model = GcnModel::new(config.clone()).expect("valid");
+            assert_eq!(config.parameter_count(), Ok(model.flatten_params().len()));
+        }
+        // Checked, not wrapping: an absurd filter order is an error, not
+        // a small count that a stored vector could match.
+        let mut c = tiny_config();
+        c.filter_order = usize::MAX / 2;
+        assert!(c.parameter_count().is_err());
+        assert!(GcnModel::new(c).is_err());
+    }
+
+    #[test]
     fn invalid_configs_are_rejected() {
         let mut c = tiny_config();
         c.conv_channels.clear();
@@ -1000,59 +815,53 @@ mod tests {
     fn parallel_predict_is_bit_identical_to_serial() {
         let model = GcnModel::new(tiny_config()).expect("valid");
         let sample = tiny_sample();
-        let (serial_probs, serial_preds) = model.predict_probabilities(&sample).expect("ok");
+        let serial_preds = model.predict(&sample).expect("ok");
         for threads in [2, 4, 8] {
             let par = Parallelism::new(threads);
-            let (probs, preds) = model.predict_probabilities_with(&par, &sample).expect("ok");
-            assert_eq!(serial_probs, probs, "threads={threads}");
-            assert_eq!(serial_preds, preds, "threads={threads}");
+            let preds = model
+                .forward(&par, &[&sample], &mut GnnWorkspace::new())
+                .expect("ok");
+            assert_eq!(preds[0], serial_preds, "threads={threads}");
         }
     }
 
+    fn big_sample() -> GraphSample {
+        let c = parse(
+            "M0 d1 d1 gnd! gnd! NMOS\nM1 d2 d1 gnd! gnd! NMOS\nM2 out in d2 gnd! NMOS\n\
+             M3 o2 in2 d2 gnd! NMOS\nR1 out vdd! 10k\nR2 o2 vdd! 20k\nC1 out gnd! 1p\n",
+        )
+        .expect("valid");
+        let g = CircuitGraph::build(&c, GraphOptions::default());
+        let labels = (0..g.vertex_count()).map(|v| Some(v % 2)).collect();
+        GraphSample::prepare("big", &c, &g, labels, 2, 13).expect("prepares")
+    }
+
     #[test]
-    fn predict_into_matches_predict_across_reuse_and_sizes() {
+    fn reused_workspace_matches_fresh_across_sizes() {
         let mut config = tiny_config();
         config.batch_norm = true;
         let model = GcnModel::new(config).expect("valid");
         let small = tiny_sample();
-        let big = {
-            let c = parse(
-                "M0 d1 d1 gnd! gnd! NMOS\nM1 d2 d1 gnd! gnd! NMOS\nM2 out in d2 gnd! NMOS\n\
-                 M3 o2 in2 d2 gnd! NMOS\nR1 out vdd! 10k\nR2 o2 vdd! 20k\nC1 out gnd! 1p\n",
-            )
-            .expect("valid");
-            let g = CircuitGraph::build(&c, GraphOptions::default());
-            let labels = (0..g.vertex_count()).map(|v| Some(v % 2)).collect();
-            GraphSample::prepare("big", &c, &g, labels, 2, 13).expect("prepares")
-        };
+        let big = big_sample();
         let par = Parallelism::serial();
         let mut ws = GnnWorkspace::new();
         // Grow, shrink, grow again through one workspace; every run must
-        // match the allocating path exactly.
+        // match a fresh workspace exactly.
         for sample in [&small, &big, &small, &big] {
-            let fresh = model.predict_with(&par, sample).expect("ok");
-            let reused = model.predict_into(&par, sample, &mut ws).expect("ok");
-            assert_eq!(reused, fresh);
+            let fresh = model.predict(sample).expect("ok");
+            let reused = model.forward(&par, &[sample], &mut ws).expect("ok");
+            assert_eq!(reused, [fresh]);
         }
         assert!(ws.heap_bytes() > 0);
     }
 
     #[test]
-    fn predict_batch_into_matches_per_sample_predict_into() {
+    fn fused_batches_match_per_sample_forward() {
         let mut config = tiny_config();
         config.batch_norm = true;
         let model = GcnModel::new(config).expect("valid");
         let small = tiny_sample();
-        let big = {
-            let c = parse(
-                "M0 d1 d1 gnd! gnd! NMOS\nM1 d2 d1 gnd! gnd! NMOS\nM2 out in d2 gnd! NMOS\n\
-                 M3 o2 in2 d2 gnd! NMOS\nR1 out vdd! 10k\nR2 o2 vdd! 20k\nC1 out gnd! 1p\n",
-            )
-            .expect("valid");
-            let g = CircuitGraph::build(&c, GraphOptions::default());
-            let labels = (0..g.vertex_count()).map(|v| Some(v % 2)).collect();
-            GraphSample::prepare("big", &c, &g, labels, 2, 13).expect("prepares")
-        };
+        let big = big_sample();
         let par = Parallelism::serial();
         let mut serial_ws = GnnWorkspace::new();
         let mut batch_ws = GnnWorkspace::new();
@@ -1066,15 +875,11 @@ mod tests {
             vec![],
         ];
         for batch in batches {
-            let fused = model
-                .predict_batch_into(&par, &batch, &mut batch_ws)
-                .expect("ok");
+            let fused = model.forward(&par, &batch, &mut batch_ws).expect("ok");
             assert_eq!(fused.len(), batch.len());
             for (sample, preds) in batch.iter().zip(&fused) {
-                let expected = model
-                    .predict_into(&par, sample, &mut serial_ws)
-                    .expect("ok");
-                assert_eq!(preds, &expected);
+                let expected = model.forward(&par, &[sample], &mut serial_ws).expect("ok");
+                assert_eq!(preds, &expected[0]);
             }
         }
     }
@@ -1176,97 +981,6 @@ mod tests {
             opt.step(&mut params, &step.grads.flatten());
             model.apply_flat_params(&params).expect("same length");
         }
-    }
-
-    #[test]
-    fn quantized_predictions_agree_across_all_inference_paths() {
-        let mut config = tiny_config();
-        config.batch_norm = true;
-        let mut model = GcnModel::new(config).expect("valid");
-        let sample = tiny_sample();
-        let f64_preds = model.predict(&sample).expect("ok");
-        let worst = model.quantize_weights();
-        assert!(model.is_quantized());
-        assert!(worst.is_finite() && worst >= 0.0);
-        let par = Parallelism::serial();
-        let allocating = model.predict(&sample).expect("ok");
-        let mut ws = GnnWorkspace::new();
-        let into = model.predict_into(&par, &sample, &mut ws).expect("ok");
-        let batched = model
-            .predict_batch_into(&par, &[&sample], &mut ws)
-            .expect("ok");
-        assert_eq!(allocating, into, "quantized paths disagree");
-        assert_eq!(allocating, batched[0], "batched quantized path disagrees");
-        // Same argmax as f64 on this well-separated toy sample.
-        assert_eq!(allocating, f64_preds, "quantization flipped an argmax");
-        model.clear_quantization();
-        assert_eq!(model.predict(&sample).expect("ok"), f64_preds);
-    }
-
-    #[test]
-    fn weight_mutation_drops_quantization() {
-        let mut model = GcnModel::new(tiny_config()).expect("valid");
-        model.quantize_weights();
-        let params = model.flatten_params();
-        model.apply_flat_params(&params).expect("same length");
-        assert!(
-            !model.is_quantized(),
-            "apply_flat_params must invalidate int8 codes"
-        );
-        model.quantize_weights();
-        model.train_step(&tiny_sample()).expect("step");
-        assert!(!model.is_quantized(), "train_step must invalidate");
-    }
-
-    #[test]
-    fn set_quantized_convs_validates_shapes() {
-        let mut model = GcnModel::new(tiny_config()).expect("valid");
-        model.quantize_weights();
-        let quant: Vec<Vec<crate::QuantizedMatrix>> =
-            model.quantized_convs().expect("quantized").to_vec();
-        model.clear_quantization();
-        model
-            .set_quantized_convs(Some(quant.clone()))
-            .expect("round trip");
-        assert!(model.is_quantized());
-        assert!(
-            model
-                .set_quantized_convs(Some(quant[..1].to_vec()))
-                .is_err(),
-            "level count mismatch must be rejected"
-        );
-        let mut short = quant;
-        short[0].pop();
-        assert!(
-            model.set_quantized_convs(Some(short)).is_err(),
-            "tap count mismatch must be rejected"
-        );
-    }
-
-    #[test]
-    fn basis_cache_hit_is_byte_identical_and_counted() {
-        use crate::BasisCache;
-        let mut config = tiny_config();
-        config.batch_norm = true;
-        let model = GcnModel::new(config).expect("valid");
-        let sample = tiny_sample();
-        let par = Parallelism::serial();
-        let mut plain_ws = GnnWorkspace::new();
-        let expected = model
-            .predict_into(&par, &sample, &mut plain_ws)
-            .expect("ok");
-        let cache = Arc::new(BasisCache::new(16 << 20));
-        let mut ws = GnnWorkspace::new();
-        ws.set_basis_cache(Some(Arc::clone(&cache)));
-        let cold = model.predict_into(&par, &sample, &mut ws).expect("ok");
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses as usize, model.config().levels());
-        let warm = model.predict_into(&par, &sample, &mut ws).expect("ok");
-        let stats = cache.stats();
-        assert_eq!(stats.hits as usize, model.config().levels());
-        assert_eq!(cold, expected, "cold cached run diverged");
-        assert_eq!(warm, expected, "warm cached run diverged");
     }
 
     #[test]

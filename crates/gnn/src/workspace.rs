@@ -1,7 +1,7 @@
 //! Reusable inference scratch buffers.
 //!
 //! A [`GnnWorkspace`] owns every intermediate the forward pass of
-//! [`crate::GcnModel::predict_into`] needs — the Chebyshev basis, the
+//! [`crate::GcnModel::forward`] needs — the Chebyshev basis, the
 //! per-tap product, the ping/pong feature maps, and the gathered
 //! per-vertex logits — so steady-state inference (a serving worker, or the
 //! many dirty-region re-runs of an incremental update) performs no dense
@@ -9,17 +9,15 @@
 //! request via [`gana_sparse::DenseMatrix::resize`], settling on the
 //! high-water allocation.
 
-use crate::BasisCache;
 use gana_sparse::{CsrMatrix, DenseMatrix};
-use std::sync::Arc;
 
 /// Scratch buffers for one in-flight GCN inference.
 ///
 /// A workspace belongs to exactly one caller at a time (it is `&mut`
 /// through the forward pass); share across threads by giving each worker
-/// its own. Reuse never changes results: every `_into` kernel runs the
-/// same operation sequence as its allocating twin, so outputs are
-/// byte-identical whether the buffers are fresh or recycled.
+/// its own. Reuse never changes results: every kernel overwrites the
+/// buffers it writes, so outputs are byte-identical whether the buffers
+/// are fresh or recycled.
 #[derive(Debug, Default)]
 pub struct GnnWorkspace {
     /// Current feature map (conv input / pooled output / final logits).
@@ -36,26 +34,14 @@ pub struct GnnWorkspace {
     /// Vertex-to-cluster index list for the gather.
     pub(crate) clusters: Vec<usize>,
     /// Fused block-diagonal Laplacians, one per coarsening level, reused
-    /// across batched forward passes
-    /// ([`crate::GcnModel::predict_batch_into`]).
+    /// across batched forward passes of two or more samples.
     pub(crate) fused: Vec<CsrMatrix>,
-    /// Optional shared cache of Chebyshev bases, keyed by operator/signal
-    /// content. `None` (the default) computes every basis from scratch.
-    pub(crate) basis_cache: Option<Arc<BasisCache>>,
 }
 
 impl GnnWorkspace {
     /// An empty workspace; buffers are grown on first use.
     pub fn new() -> GnnWorkspace {
         GnnWorkspace::default()
-    }
-
-    /// Attaches (or detaches) a shared Chebyshev basis cache. Cached bases
-    /// are byte-identical to freshly computed ones — the key is a content
-    /// hash of the Laplacian, signal, and tap count — so this changes
-    /// latency only, never output.
-    pub fn set_basis_cache(&mut self, cache: Option<Arc<BasisCache>>) {
-        self.basis_cache = cache;
     }
 
     /// Bytes of heap memory currently held by the workspace buffers

@@ -299,60 +299,3 @@ fn ota_structural_edit_is_equivalent() {
     );
     assert!(!spliced, "a structural edit must take the partial path");
 }
-
-#[test]
-fn basis_cache_is_invalidated_by_bucket_crossing_edits() {
-    // The PR 2 splice bug one layer down: a bucket-crossing revalue changes
-    // the GCN input features, so a basis cached for the base circuit must
-    // never be served for the edited one. The cache key is a content hash
-    // of the Laplacian and feature matrix, so the edit misses by
-    // construction — this test pins that contract against any future
-    // weakening of the key (e.g. hashing topology only).
-    use gana_gnn::BasisCache;
-    use std::sync::Arc;
-
-    let base = ota_base();
-    let edited = cross_a_bucket(&base.circuit);
-    let cache = Arc::new(BasisCache::new(8 << 20));
-    let inc = IncrementalPipeline::new(
-        pipeline(Task::OtaBias, &ota_classes::NAMES).with_basis_cache(Arc::clone(&cache)),
-    );
-
-    let baseline = inc.annotate_full(&base.circuit).expect("cold baseline");
-    let cold_stats = cache.stats();
-    assert!(cold_stats.misses > 0, "cold run populated the cache");
-    assert_eq!(cold_stats.hits, 0);
-
-    let (next, stats) = inc.update(&baseline, &edited).expect("incremental update");
-    assert!(!stats.full_splice, "bucket crossing takes the partial path");
-    // The edited features hash to new keys: the recurrence re-ran instead
-    // of replaying the base circuit's basis.
-    assert!(
-        cache.stats().misses > cold_stats.misses,
-        "a stale basis hit would silently reproduce the splice bug"
-    );
-
-    // And the cached partial path matches an uncached cold run byte for
-    // byte — reuse never changes the output, it only skips recomputation.
-    let cold = pipeline(Task::OtaBias, &ota_classes::NAMES)
-        .recognize(&edited)
-        .expect("cold rerun");
-    assert_eq!(
-        report::full_report(&next.design),
-        report::full_report(&cold)
-    );
-    assert_eq!(next.design.final_label, cold.final_label);
-
-    // Repeating the identical edit is answered from the (fresh) cache with
-    // the same bytes: the hit path is exercised, not just the miss path.
-    let before = cache.stats();
-    let (again, _) = inc.update(&baseline, &edited).expect("repeat update");
-    assert!(
-        cache.stats().hits > before.hits,
-        "an identical re-annotation reuses the cached basis"
-    );
-    assert_eq!(
-        report::full_report(&again.design),
-        report::full_report(&cold)
-    );
-}

@@ -27,7 +27,7 @@ use crate::channel;
 use crate::job::{Annotation, Job, JobError, JobHandle, JobRequest, JobResult, SubmitError, Work};
 use crate::metrics::{Metrics, SnapshotGauge, StatsSnapshot, WorkspaceStats};
 use gana_core::{Pipeline, Task, Workspace};
-use gana_gnn::{BasisCache, GraphSample, Kernel};
+use gana_gnn::{GraphSample, Kernel};
 use gana_graph::CircuitGraph;
 use gana_incremental::{Baseline, CachedBlock, IncrementalPipeline, RegionCache};
 use gana_netlist::{flatten, parse_library, Circuit};
@@ -84,18 +84,7 @@ pub struct EngineConfig {
     /// most ~50% latency) and never more than 5 ms. With no traffic
     /// history, or with a full batch already queued, the window is 0.
     pub batch_window_auto: bool,
-    /// Byte budget of the shared topology-keyed Chebyshev basis cache
-    /// (`0` disables it). Cache reuse is byte-identical to recomputation —
-    /// the key is a content hash of the Laplacian, input features, and tap
-    /// count — so the knob trades memory for latency only.
-    pub basis_cache_bytes: usize,
-    /// When true, every registered pipeline serves from int8-quantized GCN
-    /// weights (per-output-channel affine, dequantize-on-accumulate).
-    pub quantized: bool,
 }
-
-/// Default byte budget of the shared Chebyshev basis cache (32 MiB).
-pub const DEFAULT_BASIS_CACHE_BYTES: usize = 32 << 20;
 
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
@@ -111,8 +100,6 @@ impl Default for EngineConfig {
             max_batch: 1,
             batch_window_us: 0,
             batch_window_auto: false,
-            basis_cache_bytes: DEFAULT_BASIS_CACHE_BYTES,
-            quantized: false,
         }
     }
 }
@@ -266,9 +253,6 @@ struct Shared {
     /// counters and high-water footprints across the pool.
     workspaces: Vec<Arc<Workspace>>,
     region_cache: Arc<RegionCache>,
-    /// Shared Chebyshev basis cache, `None` when disabled by config. The
-    /// handle exists for `stats`; pipelines carry their own clones.
-    basis_cache: Option<Arc<BasisCache>>,
     sessions: Mutex<HashMap<u64, Arc<SessionSlot>>>,
     max_sessions: usize,
     metrics: Metrics,
@@ -494,22 +478,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides the shared Chebyshev basis-cache byte budget (`0`
-    /// disables the cache entirely).
-    pub fn basis_cache_bytes(mut self, bytes: usize) -> EngineBuilder {
-        self.config.basis_cache_bytes = bytes;
-        self
-    }
-
-    /// Serves every registered pipeline from int8-quantized GCN weights.
-    /// Predictions may differ from f64 within the per-channel quantization
-    /// error bound; callers gate this on an accuracy check (see
-    /// `gana serve --quantized`).
-    pub fn quantized(mut self, quantized: bool) -> EngineBuilder {
-        self.config.quantized = quantized;
-        self
-    }
-
     /// Forces the spmm/axpy kernel variant for this process instead of the
     /// startup CPU-feature detection (equivalent to setting `GANA_KERNEL`).
     /// Process-global: the dispatcher is shared by everything in-process,
@@ -528,27 +496,12 @@ impl EngineBuilder {
             self.config.intra_threads,
             gana_par::available_threads(),
         ));
-        let basis_cache = (self.config.basis_cache_bytes > 0)
-            .then(|| Arc::new(BasisCache::new(self.config.basis_cache_bytes)));
         // Clone the shared budget into every registered pipeline: clones
-        // share one gauge, so stats aggregate across all workers. The same
-        // pass applies the engine-wide inference options: one shared basis
-        // cache across all pipelines and workers, and the quantized weight
-        // path when configured.
-        let quantized = self.config.quantized;
+        // share one gauge, so stats aggregate across all workers.
         let pipelines: Vec<(Task, Pipeline)> = self
             .pipelines
             .into_iter()
-            .map(|(task, pipeline)| {
-                let mut pipeline = pipeline.with_parallelism(intra.clone());
-                if quantized {
-                    pipeline = pipeline.with_quantized();
-                }
-                if let Some(cache) = &basis_cache {
-                    pipeline = pipeline.with_basis_cache(Arc::clone(cache));
-                }
-                (task, pipeline)
-            })
+            .map(|(task, pipeline)| (task, pipeline.with_parallelism(intra.clone())))
             .collect();
         let region_cache = Arc::new(RegionCache::new(self.config.region_cache_bytes));
         region_cache.restore(self.seed_cache);
@@ -568,7 +521,6 @@ impl EngineBuilder {
             intra,
             workspaces,
             region_cache,
-            basis_cache,
             sessions: Mutex::new(HashMap::new()),
             max_sessions: self.config.max_sessions,
             metrics: Metrics::default(),
@@ -902,11 +854,6 @@ impl Engine {
             self.shared.intra.gauge(),
             workspace,
             self.snapshot_gauge(),
-            self.shared
-                .basis_cache
-                .as_ref()
-                .map(|c| c.stats())
-                .unwrap_or_default(),
             gana_gnn::kernel::active().name(),
         )
     }
@@ -1871,51 +1818,19 @@ mod tests {
     }
 
     #[test]
-    fn quantized_engine_with_basis_cache_matches_plain_and_reports_stats() {
-        let plain = Engine::builder()
-            .pipeline(tiny_pipeline(Task::OtaBias))
-            .workers(1)
-            .basis_cache_bytes(0)
-            .build();
-        let reference = plain
-            .submit(JobRequest::new(OTA, Task::OtaBias))
-            .expect("accepted")
-            .wait()
-            .expect("annotates");
-        let idle = plain.stats();
-        assert_eq!(idle.basis_cache_hits + idle.basis_cache_misses, 0);
-        assert_eq!(idle.basis_cache_entries, 0, "budget 0 disables the cache");
-
-        // Result caching off so the repeat submission reaches a worker and
-        // exercises the basis cache instead of the annotation cache.
+    fn stats_report_the_active_kernel() {
         let engine = Engine::builder()
             .pipeline(tiny_pipeline(Task::OtaBias))
             .workers(1)
-            .result_cache_capacity(0)
-            .quantized(true)
-            .basis_cache_bytes(8 << 20)
             .build();
-        for run in 0..2 {
-            let annotation = engine
-                .submit(JobRequest::new(OTA, Task::OtaBias))
-                .expect("accepted")
-                .wait()
-                .expect("annotates");
-            assert_eq!(
-                annotation.device_labels, reference.device_labels,
-                "quantized + cached labels match f64 (run {run})"
-            );
-        }
         let stats = engine.stats();
-        assert!(stats.basis_cache_misses > 0, "cold run computed: {stats:?}");
-        assert!(stats.basis_cache_hits > 0, "warm run reused: {stats:?}");
-        assert!(stats.basis_cache_entries > 0, "{stats:?}");
-        assert!(stats.basis_cache_bytes > 0, "{stats:?}");
         assert!(
             ["avx2", "neon", "scalar"].contains(&stats.kernel.as_str()),
             "{stats:?}"
         );
-        assert!(stats.to_wire().contains("basis_cache_hits="));
+        assert!(stats
+            .to_wire()
+            .contains(&format!("kernel={}", stats.kernel)));
     }
 
     /// Distinct netlists (one per `k`) so a burst is real work, not cache

@@ -34,7 +34,7 @@ pub mod transport;
 pub(crate) use crossbeam::channel;
 
 pub use client::{Client, ClientError, RetryPolicy};
-pub use engine::{Engine, EngineBuilder, EngineConfig, DEFAULT_BASIS_CACHE_BYTES};
+pub use engine::{Engine, EngineBuilder, EngineConfig};
 pub use job::{Annotation, JobError, JobHandle, JobRequest, JobResult, SubmitError};
 pub use metrics::{
     HistogramSnapshot, LatencyHistogram, Metrics, SizeHistogram, StatsSnapshot, WorkspaceStats,

@@ -10,7 +10,6 @@
 //! and survive the stats wire format, which is what lets `fleetstats`
 //! aggregate real fleet percentiles instead of taking the worst shard.
 
-use gana_gnn::BasisCacheStats;
 use gana_incremental::RegionCacheStats;
 use gana_par::GaugeSnapshot;
 use std::fmt;
@@ -364,8 +363,7 @@ impl Metrics {
     /// `sessions` and `region` come from the engine's session store and
     /// shared region cache; `intra` from the shared intra-request pool
     /// gauge; `workspace` aggregates the per-worker annotation workspaces;
-    /// `basis` from the shared Chebyshev basis cache and `kernel` from the
-    /// sparse kernel dispatcher.
+    /// `kernel` from the sparse kernel dispatcher.
     #[allow(clippy::too_many_arguments)]
     pub fn snapshot(
         &self,
@@ -377,7 +375,6 @@ impl Metrics {
         intra: GaugeSnapshot,
         workspace: WorkspaceStats,
         persistence: SnapshotGauge,
-        basis: BasisCacheStats,
         kernel: &str,
     ) -> StatsSnapshot {
         let queue_wait = self.queue_wait.snapshot();
@@ -400,11 +397,6 @@ impl Metrics {
             region_evictions: region.evictions,
             region_splices: region.splices,
             region_bytes: region.bytes,
-            basis_cache_hits: basis.hits,
-            basis_cache_misses: basis.misses,
-            basis_cache_evictions: basis.evictions,
-            basis_cache_bytes: basis.bytes,
-            basis_cache_entries: basis.entries,
             kernel: kernel.to_string(),
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
@@ -498,16 +490,6 @@ pub struct StatsSnapshot {
     pub region_splices: u64,
     /// Bytes currently held by the region cache.
     pub region_bytes: u64,
-    /// Chebyshev basis-cache lookups answered without the recurrence.
-    pub basis_cache_hits: u64,
-    /// Chebyshev basis-cache lookups that computed the basis.
-    pub basis_cache_misses: u64,
-    /// Basis-cache entries evicted to stay under the byte budget.
-    pub basis_cache_evictions: u64,
-    /// Bytes currently held by the basis cache.
-    pub basis_cache_bytes: u64,
-    /// Entries currently held by the basis cache.
-    pub basis_cache_entries: u64,
     /// Active spmm/axpy kernel variant (`avx2`, `neon`, or `scalar`).
     pub kernel: String,
     /// Jobs waiting in the queue right now.
@@ -584,9 +566,7 @@ impl StatsSnapshot {
         format!(
             "submitted={} completed={} failed={} rejected={} shed={} cache_hits={} expired={} \
              sessions={} store_bytes={} region_hits={} region_misses={} region_evictions={} \
-             region_splices={} region_bytes={} \
-             basis_cache_hits={} basis_cache_misses={} basis_cache_evictions={} \
-             basis_cache_bytes={} basis_cache_entries={} kernel={} \
+             region_splices={} region_bytes={} kernel={} \
              queue_depth={} workers={} intra_pool_size={} intra_busy={} intra_queued={} \
              templates_pruned={} workspace_high_water_bytes={} \
              batched_requests={} batch_size_p50={} batch_size_p95={} batch_flush_deadline={} \
@@ -611,11 +591,6 @@ impl StatsSnapshot {
             self.region_evictions,
             self.region_splices,
             self.region_bytes,
-            self.basis_cache_hits,
-            self.basis_cache_misses,
-            self.basis_cache_evictions,
-            self.basis_cache_bytes,
-            self.basis_cache_entries,
             self.kernel,
             self.queue_depth,
             self.workers,
@@ -681,11 +656,6 @@ impl StatsSnapshot {
             fleet.region_evictions += shard.region_evictions;
             fleet.region_splices += shard.region_splices;
             fleet.region_bytes += shard.region_bytes;
-            fleet.basis_cache_hits += shard.basis_cache_hits;
-            fleet.basis_cache_misses += shard.basis_cache_misses;
-            fleet.basis_cache_evictions += shard.basis_cache_evictions;
-            fleet.basis_cache_bytes += shard.basis_cache_bytes;
-            fleet.basis_cache_entries += shard.basis_cache_entries;
             // One dispatch decision per process: shards normally agree, and
             // a split fleet (mid-rollout, mixed hardware) reads `mixed`.
             if !any {
@@ -789,11 +759,6 @@ impl StatsSnapshot {
                         "region_evictions" => snap.region_evictions = n,
                         "region_splices" => snap.region_splices = n,
                         "region_bytes" => snap.region_bytes = n,
-                        "basis_cache_hits" => snap.basis_cache_hits = n,
-                        "basis_cache_misses" => snap.basis_cache_misses = n,
-                        "basis_cache_evictions" => snap.basis_cache_evictions = n,
-                        "basis_cache_bytes" => snap.basis_cache_bytes = n,
-                        "basis_cache_entries" => snap.basis_cache_entries = n,
                         "queue_depth" => snap.queue_depth = n as usize,
                         "workers" => snap.workers = n as usize,
                         "intra_pool_size" => snap.intra_pool_size = n as usize,
@@ -876,8 +841,7 @@ impl fmt::Display for StatsSnapshot {
             "jobs: {} submitted, {} completed, {} failed, {} rejected, {} shed, \
              {} cache hits, {} expired | sessions: {} open, {} B store, \
              region cache {}/{} hit, \
-             {} spliced, {} B, {} evicted | basis cache: {}/{} hit, {} entries, \
-             {} B, {} evicted | kernel: {} | queue: {} deep, {} workers | intra pool: \
+             {} spliced, {} B, {} evicted | kernel: {} | queue: {} deep, {} workers | intra pool: \
              {} threads/worker, {} busy, {} queued | workspace: {} templates \
              pruned, {} B peak | batch: {} fused jobs, size p50/p95 {}/{}, \
              {} deadline flushes, {} session yields | snapshot: {} | latency \
@@ -897,11 +861,6 @@ impl fmt::Display for StatsSnapshot {
             self.region_splices,
             self.region_bytes,
             self.region_evictions,
-            self.basis_cache_hits,
-            self.basis_cache_hits + self.basis_cache_misses,
-            self.basis_cache_entries,
-            self.basis_cache_bytes,
-            self.basis_cache_evictions,
             if self.kernel.is_empty() {
                 "unknown"
             } else {
@@ -1143,21 +1102,9 @@ mod tests {
                 bytes: 8192,
                 warm_start: true,
             },
-            BasisCacheStats {
-                hits: 11,
-                misses: 3,
-                evictions: 1,
-                bytes: 2048,
-                entries: 2,
-            },
             "avx2",
         );
         assert_eq!(snap.store_bytes, 7168);
-        assert_eq!(snap.basis_cache_hits, 11);
-        assert_eq!(snap.basis_cache_misses, 3);
-        assert_eq!(snap.basis_cache_evictions, 1);
-        assert_eq!(snap.basis_cache_bytes, 2048);
-        assert_eq!(snap.basis_cache_entries, 2);
         assert_eq!(snap.kernel, "avx2");
         assert_eq!(snap.intra_pool_size, 2);
         assert_eq!(snap.snapshot_last_save_us, 2_500_000);
@@ -1225,9 +1172,6 @@ mod tests {
             workers: 4,
             region_hits: 7,
             region_bytes: 100,
-            basis_cache_hits: 20,
-            basis_cache_bytes: 512,
-            basis_cache_entries: 2,
             kernel: "avx2".to_string(),
             total_p95_us: 800,
             session_yields: 1,
@@ -1247,10 +1191,6 @@ mod tests {
             workers: 4,
             region_hits: 2,
             region_bytes: 40,
-            basis_cache_hits: 5,
-            basis_cache_misses: 4,
-            basis_cache_bytes: 256,
-            basis_cache_entries: 1,
             kernel: "avx2".to_string(),
             total_p95_us: 1200,
             session_yields: 2,
@@ -1271,10 +1211,6 @@ mod tests {
         assert_eq!(fleet.workers, 8);
         assert_eq!(fleet.region_hits, 9);
         assert_eq!(fleet.region_bytes, 140);
-        assert_eq!(fleet.basis_cache_hits, 25);
-        assert_eq!(fleet.basis_cache_misses, 4);
-        assert_eq!(fleet.basis_cache_bytes, 768);
-        assert_eq!(fleet.basis_cache_entries, 3);
         assert_eq!(fleet.kernel, "avx2", "agreeing shards keep the name");
         assert_eq!(fleet.session_yields, 3);
         assert_eq!(

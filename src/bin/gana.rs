@@ -31,7 +31,7 @@ use gana::gnn::{checkpoint, GcnConfig, TrainerConfig};
 use gana::netlist::SpiceLibrary;
 use gana::persist::{EngineSnapshot, ModelEntry};
 use gana::primitives::PrimitiveLibrary;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -68,8 +68,8 @@ fn print_usage() {
          gana annotate FILE --model FILE --task ota|rf [--baseline FILE] [--export FILE] [--svg FILE] [--dot FILE]\n  \
          gana inspect  FILE\n  \
          gana generate --kind ota|rf|sc-filter|phased-array [--seed N] [--out FILE]\n  \
-         gana serve    --model FILE --task ota|rf [--addr HOST:PORT] [--workers N] [--queue N] [--stats-secs N] [--max-batch N] [--batch-window-us N|auto] [--quantized] [--basis-cache-mb N] [--snapshot-dir DIR] [--snapshot-secs N] [--pid-file FILE]\n  \
-         gana shard    --snapshot-root DIR [--shards N] [--addr HOST:PORT] [--seed-snapshot SNAP | --model FILE --task ota|rf] [--workers N] [--queue N] [--max-batch N] [--batch-window-us N|auto]\n  \
+         gana serve    --model FILE --task ota|rf [--addr HOST:PORT] [--workers N] [--queue N] [--stats-secs N] [--max-batch N] [--batch-window-us N|auto] [--snapshot-dir DIR] [--snapshot-secs N] [--pid-file FILE]\n  \
+         gana shard    --snapshot-root DIR [--shards N] [--addr HOST:PORT] [--seed-snapshot SNAP | --model FILE --task ota|rf] [--workers N] [--queue N] [--stats-secs N] [--snapshot-secs N] [--max-batch N] [--batch-window-us N|auto]\n  \
          gana submit   FILE --task ota|rf [--addr HOST:PORT] [--deadline-ms N] [--export FILE] [--binary]\n  \
          gana loadgen  --addr HOST:PORT [--rate RPS] [--duration-s N] [--connections N] [--deadline-ms N|none] [--seed N] [--skew S] [--session-frac F] [--batch-frac F] [--batch-size N] [--families a,b,..] [--cached] [--text]\n  \
          gana submit   stats|shutdown [--addr HOST:PORT] [--binary] [--per-shard]\n  \
@@ -78,45 +78,52 @@ fn print_usage() {
     );
 }
 
-/// Removes a bare `--name` switch (no value) from the argument list,
-/// reporting whether it was present. Run before [`parse_flags`], which only
-/// understands `--key value` pairs.
-fn extract_bool_flag(args: &[String], name: &str) -> (Vec<String>, bool) {
-    let flag = format!("--{name}");
-    let mut present = false;
-    let rest = args
-        .iter()
-        .filter(|a| {
-            if **a == flag {
-                present = true;
-                false
-            } else {
-                true
-            }
-        })
-        .cloned()
-        .collect();
-    (rest, present)
-}
+/// A subcommand's arguments: positionals, `--key value` flags, and bare
+/// `--switch`es.
+type Args<'a> = (Vec<&'a str>, HashMap<&'a str, &'a str>, HashSet<&'a str>);
 
-/// Splits `--key value` pairs from positional arguments.
-fn parse_flags(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), String> {
+/// Splits `args` into positionals, the `--key value` flags named in
+/// `values`, and the bare switches named in `switches`. Any other `--flag`
+/// is an error that names it, so a typo fails loudly instead of being
+/// ignored or swallowing the next argument as its value.
+fn parse_flags<'a>(
+    args: &'a [String],
+    values: &[&str],
+    switches: &[&str],
+) -> Result<Args<'a>, String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = args
-                .get(i + 1)
+    let mut present = HashSet::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            positional.push(arg.as_str());
+            continue;
+        };
+        if switches.contains(&key) {
+            present.insert(key);
+        } else if values.contains(&key) {
+            let value = rest
+                .next()
                 .ok_or_else(|| format!("flag --{key} needs a value"))?;
             flags.insert(key, value.as_str());
-            i += 2;
         } else {
-            positional.push(args[i].as_str());
-            i += 1;
+            let accepted: Vec<String> = values
+                .iter()
+                .chain(switches)
+                .map(|name| format!("--{name}"))
+                .collect();
+            return Err(format!(
+                "unknown flag --{key} (accepted: {})",
+                if accepted.is_empty() {
+                    "none".to_string()
+                } else {
+                    accepted.join(" ")
+                }
+            ));
         }
     }
-    Ok((positional, flags))
+    Ok((positional, flags, present))
 }
 
 fn parse_task(flags: &HashMap<&str, &str>) -> Result<Task, String> {
@@ -140,7 +147,19 @@ fn numeric<T: std::str::FromStr>(
 }
 
 fn cmd_train(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse_flags(args)?;
+    let (_, flags, _) = parse_flags(
+        args,
+        &[
+            "task",
+            "circuits",
+            "epochs",
+            "filter-order",
+            "seed",
+            "out",
+            "save-model",
+        ],
+        &[],
+    )?;
     let task = parse_task(&flags)?;
     let circuits: usize = numeric(&flags, "circuits", 128)?;
     let epochs: usize = numeric(&flags, "epochs", 12)?;
@@ -229,7 +248,11 @@ fn read_flat_circuit(path: &str) -> Result<gana::netlist::Circuit, String> {
 }
 
 fn cmd_annotate(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags, _) = parse_flags(
+        args,
+        &["model", "task", "baseline", "export", "svg", "dot"],
+        &[],
+    )?;
     let path = positional.first().ok_or("missing input netlist FILE")?;
     let task = parse_task(&flags)?;
     let model_path = flags.get("model").ok_or("missing --model FILE")?;
@@ -274,7 +297,7 @@ fn cmd_annotate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let (positional, _) = parse_flags(args)?;
+    let (positional, _, _) = parse_flags(args, &[], &[])?;
     let path = positional.first().ok_or("missing input netlist FILE")?;
     let flat = read_flat_circuit(path)?;
     let (clean, prep) =
@@ -319,8 +342,23 @@ const SNAPSHOT_FILE: &str = "engine.gsnap";
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use gana::serve::{server, Engine};
 
-    let (args, quantized) = extract_bool_flag(args, "quantized");
-    let (_, flags) = parse_flags(&args)?;
+    let (_, flags, _) = parse_flags(
+        args,
+        &[
+            "model",
+            "task",
+            "addr",
+            "workers",
+            "queue",
+            "stats-secs",
+            "max-batch",
+            "batch-window-us",
+            "snapshot-dir",
+            "snapshot-secs",
+            "pid-file",
+        ],
+        &[],
+    )?;
     let addr = flags.get("addr").copied().unwrap_or("127.0.0.1:7878");
     let workers: usize = numeric(
         &flags,
@@ -333,22 +371,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let stats_secs: u64 = numeric(&flags, "stats-secs", 30)?;
     let snapshot_secs: u64 = numeric(&flags, "snapshot-secs", 300)?;
     let max_batch: usize = numeric(&flags, "max-batch", 1)?;
-    // Chebyshev basis-cache budget in MiB; 0 disables the cache.
-    let basis_cache_mb: usize = numeric(
-        &flags,
-        "basis-cache-mb",
-        gana::serve::DEFAULT_BASIS_CACHE_BYTES >> 20,
-    )?;
 
     let mut builder = Engine::builder()
         .workers(workers)
         .queue_capacity(queue)
-        .max_batch(max_batch)
-        .quantized(quantized)
-        .basis_cache_bytes(basis_cache_mb << 20);
-    if quantized {
-        println!("serving from int8-quantized GCN weights (per-channel affine)");
-    }
+        .max_batch(max_batch);
     // `auto` sizes the gather window from the live arrival-gap and
     // service-time EMAs instead of a fixed number.
     builder = match flags.get("batch-window-us").copied() {
@@ -423,7 +450,24 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 fn cmd_shard(args: &[String]) -> Result<(), String> {
     use gana::shard::{serve_router, Cluster, ClusterConfig, RouterConfig, ShardCommand};
 
-    let (_, flags) = parse_flags(args)?;
+    let (_, flags, _) = parse_flags(
+        args,
+        &[
+            "snapshot-root",
+            "shards",
+            "addr",
+            "seed-snapshot",
+            "model",
+            "task",
+            "workers",
+            "queue",
+            "stats-secs",
+            "snapshot-secs",
+            "max-batch",
+            "batch-window-us",
+        ],
+        &[],
+    )?;
     let shards: usize = numeric(&flags, "shards", 2)?;
     let snapshot_root = flags
         .get("snapshot-root")
@@ -509,7 +553,7 @@ fn cmd_shard(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_snapshot(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags, _) = parse_flags(args, &["model", "task", "out"], &[])?;
     match positional.first().copied() {
         Some("save") => {
             let task = parse_task(&flags)?;
@@ -541,9 +585,12 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
 fn cmd_submit(args: &[String]) -> Result<(), String> {
     use gana::serve::client::{Client, RetryPolicy};
 
-    let (args, binary) = extract_bool_flag(args, "binary");
-    let (args, per_shard) = extract_bool_flag(&args, "per-shard");
-    let (positional, flags) = parse_flags(&args)?;
+    let (positional, flags, switches) = parse_flags(
+        args,
+        &["task", "addr", "deadline-ms", "export"],
+        &["binary", "per-shard"],
+    )?;
+    let (binary, per_shard) = (switches.contains("binary"), switches.contains("per-shard"));
     let addr = flags.get("addr").copied().unwrap_or("127.0.0.1:7878");
     // Retry refused connections: the daemon (or a shard fleet) may still
     // be booting or mid-restart.
@@ -604,11 +651,27 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     use gana::loadgen::{run, Family, LoadConfig};
 
-    let (args, text) = extract_bool_flag(args, "text");
+    let (_, flags, switches) = parse_flags(
+        args,
+        &[
+            "addr",
+            "rate",
+            "duration-s",
+            "connections",
+            "deadline-ms",
+            "seed",
+            "skew",
+            "session-frac",
+            "batch-frac",
+            "batch-size",
+            "families",
+        ],
+        &["cached", "text"],
+    )?;
+    let text = switches.contains("text");
     // --cached lets the result cache absorb repeats; default traffic is
     // nonce-busted so the server does real recognition per op.
-    let (args, cached) = extract_bool_flag(&args, "cached");
-    let (_, flags) = parse_flags(&args)?;
+    let cached = switches.contains("cached");
     let addr = flags.get("addr").copied().unwrap_or("127.0.0.1:7878");
 
     let mut config = LoadConfig::new(addr);
@@ -691,7 +754,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse_flags(args)?;
+    let (_, flags, _) = parse_flags(args, &["kind", "seed", "out"], &[])?;
     let seed: u64 = numeric(&flags, "seed", 0)?;
     let kind = flags.get("kind").copied().ok_or("missing --kind")?;
     let circuit = match kind {

@@ -213,3 +213,45 @@ fn bad_usage_fails_cleanly() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
 }
+
+/// Runs `gana` with `args` and returns its stderr, asserting a non-zero
+/// exit.
+fn failing_stderr(args: &[&str]) -> String {
+    let out = gana().args(args).output().expect("runs");
+    assert!(
+        !out.status.success(),
+        "{args:?} must fail: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn serve_rejects_the_removed_quantized_flag() {
+    // The model path does not exist: if the flag were accepted, the
+    // daemon would fail on the checkpoint instead of naming the flag.
+    let model = temp_dir("serve_flag").join("missing.ckpt");
+    let model = model.to_str().expect("utf-8 path");
+    let err = failing_stderr(&["serve", "--quantized", "--model", model, "--task", "ota"]);
+    assert!(err.contains("--quantized"), "error names the flag: {err}");
+    let err = failing_stderr(&["serve", "--quantizd", "--model", model, "--task", "ota"]);
+    assert!(err.contains("--quantizd"), "a typo is named too: {err}");
+}
+
+#[test]
+fn train_rejects_a_misspelled_flag() {
+    let out = temp_dir("train_flag").join("x.ckpt");
+    let out = out.to_str().expect("utf-8 path");
+    let err = failing_stderr(&[
+        "train",
+        "--task",
+        "ota",
+        "--circuits",
+        "2",
+        "--epoch",
+        "1",
+        "--out",
+        out,
+    ]);
+    assert!(err.contains("--epoch "), "error names the flag: {err}");
+}
