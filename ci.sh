@@ -186,6 +186,11 @@ echo "==> end-to-end benchmark smoke (serve_batch, 2 s)"
 cargo run --release --offline --manifest-path gana-benchmark/Cargo.toml \
     --bin gana-benchmark -- --workload serve_batch --seed 1 --seconds 2
 
+echo "==> end-to-end benchmark tests"
+# The benchmark is its own workspace, so the workspace test run above does
+# not reach its suite, whose serve workloads read the stats fields.
+cargo test --release --offline --manifest-path gana-benchmark/Cargo.toml -q
+
 echo "==> bench smoke (report-only -> BENCH_pipeline.json)"
 # Absolute timings flake on shared runners, so this stage reports but never
 # gates: a bench failure is surfaced without failing CI.

@@ -4,11 +4,10 @@
 //! downstream layout tools consume.
 
 use crate::pipeline::SubBlock;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Kind of a hierarchy node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
     /// The whole design (tree root).
     System,
@@ -21,7 +20,7 @@ pub enum NodeKind {
 }
 
 /// A node of the hierarchy tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyNode {
     /// Display name (`ota0`, `CM_N2`, `M3`, …).
     pub name: String,

@@ -1,10 +1,9 @@
 //! Corpus container with Table I-style statistics.
 
 use crate::LabeledCircuit;
-use serde::{Deserialize, Serialize};
 
 /// A named set of labeled circuits (one Table I row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Corpus {
     /// Corpus name (e.g. "OTA bias").
     pub name: String,
@@ -15,7 +14,7 @@ pub struct Corpus {
 }
 
 /// The statistics Table I reports per dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorpusStats {
     /// Number of circuits (`# Circuits`).
     pub circuits: usize,

@@ -2,11 +2,10 @@
 
 use gana_graph::{CircuitGraph, GraphOptions};
 use gana_netlist::Circuit;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A generated circuit with ground-truth classes on devices and nets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledCircuit {
     /// Identifier used in reports.
     pub name: String,

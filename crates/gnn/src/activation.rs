@@ -5,10 +5,9 @@
 //! provided so the ablation experiment can reproduce that comparison.
 
 use gana_sparse::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 /// An elementwise activation function.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Activation {
     /// Rectified linear unit `max(0, x)` — the paper's choice.
     #[default]

@@ -4,14 +4,13 @@
 
 use crate::{GnnError, Result};
 use gana_sparse::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Per-feature batch normalization with learnable scale/shift.
 ///
 /// For an `n × d` activation, each column is normalized to zero mean and
 /// unit variance over the `n` vertices (training mode tracks running
 /// statistics for inference).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchNorm {
     gamma: Vec<f64>,
     beta: Vec<f64>,

@@ -10,13 +10,12 @@ use gana_par::Parallelism;
 use gana_sparse::{CsrMatrix, DenseMatrix};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A Chebyshev graph-convolution layer with `K` filter taps.
 ///
 /// Maps an `n × in_dim` signal to `n × out_dim`:
 /// `Y = Σ_k T_k(L̂) X W_k + 1·bᵀ`, where each `W_k` is `in_dim × out_dim`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChebConv {
     weights: Vec<DenseMatrix>,
     bias: Vec<f64>,

@@ -4,10 +4,9 @@ use crate::{GnnError, Result};
 use gana_sparse::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A per-vertex affine layer: `Y = X W + 1·bᵀ`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseLayer {
     weight: DenseMatrix,
     bias: Vec<f64>,

@@ -22,10 +22,9 @@ use gana_par::Parallelism;
 use gana_sparse::{CsrMatrix, DenseMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters of a [`GcnModel`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GcnConfig {
     /// Input feature dimension (18 in the paper).
     pub input_dim: usize,

@@ -3,8 +3,6 @@
 //! The model exposes its parameters as one flat `Vec<f64>` view; optimizers
 //! are therefore independent of the layer structure.
 
-use serde::{Deserialize, Serialize};
-
 /// A first-order optimizer updating parameters in place from gradients.
 pub trait Optimizer {
     /// Applies one update step. `params` and `grads` must have equal length
@@ -23,7 +21,7 @@ pub trait Optimizer {
 }
 
 /// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sgd {
     learning_rate: f64,
     momentum: f64,
@@ -71,7 +69,7 @@ impl Optimizer for Sgd {
 }
 
 /// Adam (Kingma & Ba) with bias correction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     learning_rate: f64,
     beta1: f64,

@@ -1,9 +1,7 @@
 //! Cells, rectangles, and placements on the symbolic grid.
 
-use serde::{Deserialize, Serialize};
-
 /// An axis-aligned rectangle on the grid (half-open: `[x, x+w) × [y, y+h)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// Left edge.
     pub x: i64,
@@ -65,7 +63,7 @@ impl Rect {
 }
 
 /// A leaf cell: one device's abstract footprint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
     /// Device name the cell implements.
     pub device: String,
@@ -76,7 +74,7 @@ pub struct Cell {
 }
 
 /// A placed cell.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// The cell.
     pub cell: Cell,

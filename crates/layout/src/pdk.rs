@@ -1,11 +1,10 @@
 //! The abstract grid PDK standing in for ASAP7.
 
 use gana_netlist::DeviceKind;
-use serde::{Deserialize, Serialize};
 
 /// Abstract process rules: unit footprints per device kind on an integer
 /// grid, plus the minimum spacing between cells.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pdk {
     /// Transistor footprint (width, height) in grid units.
     pub mos: (u32, u32),

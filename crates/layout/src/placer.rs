@@ -10,7 +10,6 @@ use crate::cell::{Cell, Placement, Rect};
 use crate::pdk::Pdk;
 use gana_core::RecognizedDesign;
 use gana_primitives::ConstraintKind;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -41,7 +40,7 @@ impl fmt::Display for LayoutError {
 impl Error for LayoutError {}
 
 /// A placed sub-block outline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockOutline {
     /// Sub-block display name.
     pub name: String,
@@ -54,7 +53,7 @@ pub struct BlockOutline {
 }
 
 /// The finished symbolic layout.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
     /// Every placed leaf cell.
     pub placements: Vec<Placement>,

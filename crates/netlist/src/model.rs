@@ -1,7 +1,6 @@
 //! In-memory circuit data model: devices, circuits, libraries, port labels.
 
 use crate::{NetlistError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -16,7 +15,7 @@ pub const GROUND_NAMES: [&str; 5] = ["gnd!", "gnd", "vss!", "vss", "0"];
 /// Matches the paper's element taxonomy (Section II-A): transistors
 /// (NMOS/PMOS) and passives (R, C, L), plus sources, diodes, and subcircuit
 /// instances which only exist pre-flattening.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeviceKind {
     /// N-channel MOSFET (`M` card with an N model).
     Nmos,
@@ -90,7 +89,7 @@ impl fmt::Display for DeviceKind {
 }
 
 /// The four MOS terminals in SPICE card order (`M d g s b`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MosTerminal {
     /// Drain (terminal index 0).
     Drain,
@@ -130,7 +129,7 @@ impl MosTerminal {
 /// similar sub-blocks through port knowledge: "an LNA has an antenna input,
 /// while a mixer has an oscillating input. Such information can be provided
 /// by the designer as a separate label on the port".
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum PortLabel {
     /// RF antenna input (identifies LNAs).
@@ -188,7 +187,7 @@ impl fmt::Display for PortLabel {
 }
 
 /// A single circuit element: a transistor, passive, source, or instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     name: String,
     kind: DeviceKind,
@@ -338,7 +337,7 @@ impl Device {
 ///
 /// Used both for subcircuit definitions and for the (possibly flat)
 /// top-level design.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Circuit {
     name: String,
     ports: Vec<String>,
@@ -483,7 +482,7 @@ impl Circuit {
 }
 
 /// A parsed SPICE source: subcircuit definitions plus the top-level circuit.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpiceLibrary {
     subckts: Vec<Circuit>,
     top: Circuit,

@@ -616,7 +616,11 @@ mod tests {
         // block body at all all give the same int8 error.
         let plain = encode_model(Task::OtaBias, &["a".into(), "b".into()], &small_model());
         let block_start = plain.len() - 1;
-        for tail in [&9u32.to_le_bytes()[..], &u32::MAX.to_le_bytes()[..], &[][..]] {
+        for tail in [
+            &9u32.to_le_bytes()[..],
+            &u32::MAX.to_le_bytes()[..],
+            &[][..],
+        ] {
             let mut evil = plain[..block_start].to_vec();
             evil.push(1);
             evil.extend_from_slice(tail);

@@ -7,12 +7,11 @@
 //! common-centroid for mirrors and capacitor arrays, proximity to the
 //! antenna for LNAs, guard rings for RF devices.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// The kinds of geometric/layout constraints GANA annotates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum ConstraintKind {
     /// Devices must be placed mirror-symmetrically about a common axis.
@@ -48,7 +47,7 @@ impl fmt::Display for ConstraintKind {
 /// Members live behind an [`Arc`] so the several constraints a primitive
 /// implies (symmetry + matching + …) share one name list instead of each
 /// cloning it; `Clone` on a constraint is a reference-count bump.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Constraint {
     /// The constraint kind.
     pub kind: ConstraintKind,

@@ -25,9 +25,9 @@
 
 use crate::channel;
 use crate::job::{Annotation, Job, JobError, JobHandle, JobRequest, JobResult, SubmitError, Work};
-use crate::metrics::{Metrics, SnapshotGauge, StatsSnapshot, WorkspaceStats};
+use crate::metrics::{Metrics, StatsSnapshot};
 use gana_core::{Pipeline, Task, Workspace};
-use gana_gnn::{GraphSample, Kernel};
+use gana_gnn::GraphSample;
 use gana_graph::CircuitGraph;
 use gana_incremental::{Baseline, CachedBlock, IncrementalPipeline, RegionCache};
 use gana_netlist::{flatten, parse_library, Circuit};
@@ -478,16 +478,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Forces the spmm/axpy kernel variant for this process instead of the
-    /// startup CPU-feature detection (equivalent to setting `GANA_KERNEL`).
-    /// Process-global: the dispatcher is shared by everything in-process,
-    /// not just this engine. Falls back to `scalar` if the requested
-    /// variant is not runnable on this CPU.
-    pub fn kernel(self, kernel: Kernel) -> EngineBuilder {
-        gana_gnn::kernel::force(Some(kernel));
-        self
-    }
-
     /// Spawns the worker pool and returns the running engine.
     pub fn build(self) -> Engine {
         let workers = self.config.workers.max(1);
@@ -828,34 +818,42 @@ impl Engine {
         }
     }
 
-    /// Current metrics snapshot.
+    /// Current metrics snapshot: the [`Metrics`] counters and histograms
+    /// plus the gauges read off the queue, sessions, caches, pools,
+    /// persistence state and kernel dispatcher.
     pub fn stats(&self) -> StatsSnapshot {
-        let workspace = WorkspaceStats {
-            templates_pruned: self
-                .shared
-                .workspaces
-                .iter()
-                .map(|w| w.templates_pruned())
-                .sum(),
-            high_water_bytes: self
-                .shared
+        let shared = &self.shared;
+        let region = shared.region_cache.stats();
+        let intra = shared.intra.gauge();
+        let last_save = *shared.persist.last_save.lock();
+        StatsSnapshot {
+            sessions: self.session_count(),
+            store_bytes: self.session_store_bytes(),
+            region_hits: region.hits,
+            region_misses: region.misses,
+            region_evictions: region.evictions,
+            region_splices: region.splices,
+            region_bytes: region.bytes,
+            kernel: gana_gnn::kernel::active().name().to_string(),
+            queue_depth: self.queue_rx.len(),
+            workers: shared.workers,
+            intra_pool_size: intra.size,
+            intra_busy: intra.busy,
+            intra_queued: intra.queued,
+            templates_pruned: shared.workspaces.iter().map(|w| w.templates_pruned()).sum(),
+            workspace_high_water_bytes: shared
                 .workspaces
                 .iter()
                 .map(|w| w.high_water_bytes())
                 .max()
                 .unwrap_or(0),
-        };
-        self.shared.metrics.snapshot(
-            self.queue_rx.len(),
-            self.shared.workers,
-            self.session_count(),
-            self.session_store_bytes(),
-            self.shared.region_cache.stats(),
-            self.shared.intra.gauge(),
-            workspace,
-            self.snapshot_gauge(),
-            gana_gnn::kernel::active().name(),
-        )
+            snapshot_last_save_us: last_save
+                .map(|t| t.elapsed().as_micros().min(u128::from(u64::MAX)) as u64)
+                .unwrap_or(0),
+            snapshot_bytes: shared.persist.bytes.load(Ordering::Relaxed),
+            warm_start: shared.persist.warm_start.load(Ordering::Relaxed),
+            ..shared.metrics.snapshot()
+        }
     }
 
     /// Assembles a point-in-time [`EngineSnapshot`] of the models, library,
@@ -902,17 +900,6 @@ impl Engine {
     /// [`EngineBuilder::warm_from`].
     pub fn warm_start(&self) -> bool {
         self.shared.persist.warm_start.load(Ordering::Relaxed)
-    }
-
-    fn snapshot_gauge(&self) -> SnapshotGauge {
-        let last = *self.shared.persist.last_save.lock();
-        SnapshotGauge {
-            last_save_us: last
-                .map(|t| t.elapsed().as_micros().min(u128::from(u64::MAX)) as u64)
-                .unwrap_or(0),
-            bytes: self.shared.persist.bytes.load(Ordering::Relaxed),
-            warm_start: self.shared.persist.warm_start.load(Ordering::Relaxed),
-        }
     }
 
     /// The intra-request thread budget each worker's pipeline runs with.

@@ -36,8 +36,6 @@ pub(crate) use crossbeam::channel;
 pub use client::{Client, ClientError, RetryPolicy};
 pub use engine::{Engine, EngineBuilder, EngineConfig};
 pub use job::{Annotation, JobError, JobHandle, JobRequest, JobResult, SubmitError};
-pub use metrics::{
-    HistogramSnapshot, LatencyHistogram, Metrics, SizeHistogram, StatsSnapshot, WorkspaceStats,
-};
+pub use metrics::{HistogramSnapshot, LatencyHistogram, Metrics, SizeHistogram, StatsSnapshot};
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use transport::{accept_transport, ReadRequest, Transport};

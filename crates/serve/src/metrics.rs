@@ -10,8 +10,6 @@
 //! and survive the stats wire format, which is what lets `fleetstats`
 //! aggregate real fleet percentiles instead of taking the worst shard.
 
-use gana_incremental::RegionCacheStats;
-use gana_par::GaugeSnapshot;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -161,9 +159,9 @@ impl HistogramSnapshot {
             return 0;
         }
         let rank = ((q.clamp(0.0, 1.0) * self.samples as f64).ceil() as u64).max(1);
-        let mut seen = 0;
+        let mut seen: u64 = 0;
         for &(bucket, count) in &self.buckets {
-            seen += count;
+            seen = seen.saturating_add(count);
             if seen >= rank {
                 return bucket_value(bucket as usize);
             }
@@ -172,7 +170,8 @@ impl HistogramSnapshot {
     }
 
     /// Folds `other` into `self`: bucket-wise sum, exactly the histogram of
-    /// the concatenated sample streams.
+    /// the concatenated sample streams. Counts and the microsecond total
+    /// saturate at `u64::MAX` instead of wrapping.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
         let (mut a, mut b) = (
@@ -189,7 +188,7 @@ impl HistogramSnapshot {
                         merged.push((bi, bc));
                         b.next();
                     } else {
-                        merged.push((ai, ac + bc));
+                        merged.push((ai, ac.saturating_add(bc)));
                         a.next();
                         b.next();
                     }
@@ -206,8 +205,8 @@ impl HistogramSnapshot {
             }
         }
         self.buckets = merged;
-        self.samples += other.samples;
-        self.total_us += other.total_us;
+        self.samples = self.samples.saturating_add(other.samples);
+        self.total_us = self.total_us.saturating_add(other.total_us);
     }
 
     /// Compact single-token wire form: `-` when empty, otherwise
@@ -228,7 +227,7 @@ impl HistogramSnapshot {
     }
 
     /// Parses [`HistogramSnapshot::encode`] output. `None` on malformed
-    /// input or out-of-range bucket indexes.
+    /// input, out-of-range bucket indexes, or counts whose sum overflows.
     pub fn decode(text: &str) -> Option<HistogramSnapshot> {
         if text == "-" {
             return Some(HistogramSnapshot::default());
@@ -236,7 +235,7 @@ impl HistogramSnapshot {
         let mut parts = text.split(';');
         let total_us: u64 = parts.next()?.parse().ok()?;
         let mut buckets: Vec<(u32, u64)> = Vec::new();
-        let mut samples = 0;
+        let mut samples: u64 = 0;
         for pair in parts {
             let (bucket, count) = pair.split_once(':')?;
             let bucket: u32 = bucket.parse().ok()?;
@@ -245,7 +244,7 @@ impl HistogramSnapshot {
                 return None;
             }
             buckets.push((bucket, count));
-            samples += count;
+            samples = samples.checked_add(count)?;
         }
         if samples == 0 {
             return None;
@@ -359,442 +358,268 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Immutable snapshot (counters may lag each other by in-flight jobs).
-    /// `sessions` and `region` come from the engine's session store and
-    /// shared region cache; `intra` from the shared intra-request pool
-    /// gauge; `workspace` aggregates the per-worker annotation workspaces;
-    /// `kernel` from the sparse kernel dispatcher.
-    #[allow(clippy::too_many_arguments)]
-    pub fn snapshot(
-        &self,
-        queue_depth: usize,
-        workers: usize,
-        sessions: usize,
-        store_bytes: u64,
-        region: RegionCacheStats,
-        intra: GaugeSnapshot,
-        workspace: WorkspaceStats,
-        persistence: SnapshotGauge,
-        kernel: &str,
-    ) -> StatsSnapshot {
-        let queue_wait = self.queue_wait.snapshot();
-        let parse = self.parse.snapshot();
-        let recognize = self.recognize.snapshot();
-        let total = self.total.snapshot();
+    /// Immutable snapshot of the counters and histograms (counters may lag
+    /// each other by in-flight jobs). The gauge fields — queue, sessions,
+    /// caches, pools, persistence, kernel — are left at their defaults for
+    /// [`Engine::stats`](crate::Engine::stats) to fill in.
+    pub fn snapshot(&self) -> StatsSnapshot {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         StatsSnapshot {
-            sessions,
-            store_bytes,
-            snapshot_last_save_us: persistence.last_save_us,
-            snapshot_bytes: persistence.bytes,
-            warm_start: persistence.warm_start,
-            intra_pool_size: intra.size,
-            intra_busy: intra.busy,
-            intra_queued: intra.queued,
-            templates_pruned: workspace.templates_pruned,
-            workspace_high_water_bytes: workspace.high_water_bytes,
-            region_hits: region.hits,
-            region_misses: region.misses,
-            region_evictions: region.evictions,
-            region_splices: region.splices,
-            region_bytes: region.bytes,
-            kernel: kernel.to_string(),
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            queue_depth,
-            workers,
-            queue_wait_p50_us: queue_wait.quantile_us(0.5),
-            queue_wait_p95_us: queue_wait.quantile_us(0.95),
-            queue_wait_p99_us: queue_wait.quantile_us(0.99),
-            parse_p50_us: parse.quantile_us(0.5),
-            parse_p95_us: parse.quantile_us(0.95),
-            parse_p99_us: parse.quantile_us(0.99),
-            recognize_p50_us: recognize.quantile_us(0.5),
-            recognize_p95_us: recognize.quantile_us(0.95),
-            recognize_p99_us: recognize.quantile_us(0.99),
-            total_p50_us: total.quantile_us(0.5),
-            total_p95_us: total.quantile_us(0.95),
-            total_p99_us: total.quantile_us(0.99),
-            total_p999_us: total.quantile_us(0.999),
-            total_mean_us: total.mean_us(),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
+            submitted: load(&self.submitted),
+            completed: load(&self.completed),
+            failed: load(&self.failed),
+            rejected: load(&self.rejected),
+            shed: load(&self.shed),
+            cache_hits: load(&self.cache_hits),
+            expired: load(&self.expired),
+            batched_requests: load(&self.batched_requests),
             batch_size_p50: self.batch_sizes.quantile(0.5),
             batch_size_p95: self.batch_sizes.quantile(0.95),
-            batch_flush_deadline: self.batch_flush_deadline.load(Ordering::Relaxed),
-            session_yields: self.session_yields.load(Ordering::Relaxed),
-            queue_wait_hist: queue_wait,
-            parse_hist: parse,
-            recognize_hist: recognize,
-            total_hist: total,
+            batch_flush_deadline: load(&self.batch_flush_deadline),
+            session_yields: load(&self.session_yields),
+            queue_wait_hist: self.queue_wait.snapshot(),
+            parse_hist: self.parse.snapshot(),
+            recognize_hist: self.recognize.snapshot(),
+            total_hist: self.total.snapshot(),
+            ..StatsSnapshot::default()
         }
     }
 }
 
-/// Point-in-time persistence state, computed by the engine at stats time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotGauge {
-    /// Microseconds since the last successful snapshot save (`0` when no
-    /// snapshot has been written by this process yet).
-    pub last_save_us: u64,
-    /// Size in bytes of the last written snapshot (`0` when none).
-    pub bytes: u64,
-    /// True when the engine was restored from a snapshot at boot.
-    pub warm_start: bool,
+/// A stats field's single-token wire form: no whitespace, so it fits the
+/// `key=value` line unescaped.
+trait WireValue: Sized {
+    fn to_token(&self) -> String;
+    fn from_token(token: &str) -> Option<Self>;
 }
 
-/// Aggregate view of the per-worker annotation workspaces, computed by the
-/// engine at snapshot time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkspaceStats {
-    /// Templates skipped by the VF2 prefilter, summed over all workers.
-    pub templates_pruned: u64,
-    /// Largest steady-state inference-buffer footprint (bytes) any single
-    /// worker has reached.
-    pub high_water_bytes: u64,
+impl WireValue for u64 {
+    fn to_token(&self) -> String {
+        self.to_string()
+    }
+    fn from_token(token: &str) -> Option<u64> {
+        token.parse().ok()
+    }
 }
 
-/// Point-in-time view of the engine counters, used by the `stats` request
-/// and the periodic log line.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Jobs accepted into the queue.
-    pub submitted: u64,
-    /// Jobs finished successfully.
-    pub completed: u64,
-    /// Jobs finished with a structured error.
-    pub failed: u64,
-    /// Submissions rejected with `QueueFull`.
-    pub rejected: u64,
-    /// Submissions shed pre-queue by deadline-aware overload protection.
-    pub shed: u64,
-    /// Jobs answered from the result cache.
-    pub cache_hits: u64,
-    /// Jobs dropped before processing (deadline/cancel).
-    pub expired: u64,
-    /// Open incremental sessions.
-    pub sessions: usize,
-    /// Heap bytes pinned by open sessions' unified circuit stores (graph,
-    /// CCC, coarsening, and hierarchy sections).
-    pub store_bytes: u64,
-    /// Region-cache (sub-block VF2) lookups answered from the cache.
-    pub region_hits: u64,
-    /// Region-cache lookups that ran the matcher.
-    pub region_misses: u64,
-    /// Region-cache entries evicted to stay under the byte budget.
-    pub region_evictions: u64,
-    /// Sub-block results spliced from prior session state.
-    pub region_splices: u64,
-    /// Bytes currently held by the region cache.
-    pub region_bytes: u64,
-    /// Active spmm/axpy kernel variant (`avx2`, `neon`, or `scalar`).
-    pub kernel: String,
-    /// Jobs waiting in the queue right now.
-    pub queue_depth: usize,
-    /// Worker threads in the pool.
-    pub workers: usize,
-    /// Per-worker intra-request thread budget.
-    pub intra_pool_size: usize,
-    /// Intra-request pool workers currently executing items (all workers).
-    pub intra_busy: usize,
-    /// Intra-request items claimed by no worker yet (all workers).
-    pub intra_queued: usize,
-    /// Templates skipped by the VF2 candidate prefilter (all workers).
-    pub templates_pruned: u64,
-    /// Peak per-worker annotation-workspace footprint in bytes.
-    pub workspace_high_water_bytes: u64,
-    /// p50 queue wait (µs).
-    pub queue_wait_p50_us: u64,
-    /// p95 queue wait (µs).
-    pub queue_wait_p95_us: u64,
-    /// p99 queue wait (µs).
-    pub queue_wait_p99_us: u64,
-    /// p50 parse stage (µs).
-    pub parse_p50_us: u64,
-    /// p95 parse stage (µs).
-    pub parse_p95_us: u64,
-    /// p99 parse stage (µs).
-    pub parse_p99_us: u64,
-    /// p50 recognize stage (µs).
-    pub recognize_p50_us: u64,
-    /// p95 recognize stage (µs).
-    pub recognize_p95_us: u64,
-    /// p99 recognize stage (µs).
-    pub recognize_p99_us: u64,
-    /// p50 end-to-end (µs).
-    pub total_p50_us: u64,
-    /// p95 end-to-end (µs).
-    pub total_p95_us: u64,
-    /// p99 end-to-end (µs).
-    pub total_p99_us: u64,
-    /// p99.9 end-to-end (µs).
-    pub total_p999_us: u64,
-    /// Mean end-to-end (µs).
-    pub total_mean_us: u64,
-    /// Jobs served from inside a fused micro-batch of ≥ 2.
-    pub batched_requests: u64,
-    /// Median fused-batch size (exact).
-    pub batch_size_p50: u64,
-    /// p95 fused-batch size (exact).
-    pub batch_size_p95: u64,
-    /// Batch flushes forced early by a member's deadline.
-    pub batch_flush_deadline: u64,
-    /// Session drains yielded back to the queue for fairness.
-    pub session_yields: u64,
-    /// Microseconds since the last successful snapshot save (`0` = never).
-    pub snapshot_last_save_us: u64,
-    /// Size in bytes of the last written snapshot (`0` = none).
-    pub snapshot_bytes: u64,
-    /// True when the engine warm-started from a snapshot at boot.
-    pub warm_start: bool,
-    /// Full queue-wait distribution (sparse, mergeable).
-    pub queue_wait_hist: HistogramSnapshot,
-    /// Full parse-stage distribution.
-    pub parse_hist: HistogramSnapshot,
-    /// Full recognize-stage distribution.
-    pub recognize_hist: HistogramSnapshot,
-    /// Full end-to-end distribution.
-    pub total_hist: HistogramSnapshot,
+impl WireValue for usize {
+    fn to_token(&self) -> String {
+        self.to_string()
+    }
+    fn from_token(token: &str) -> Option<usize> {
+        token.parse().ok()
+    }
 }
 
-impl StatsSnapshot {
-    /// Serializes as the `key=value` pairs used on the wire.
-    pub fn to_wire(&self) -> String {
-        format!(
-            "submitted={} completed={} failed={} rejected={} shed={} cache_hits={} expired={} \
-             sessions={} store_bytes={} region_hits={} region_misses={} region_evictions={} \
-             region_splices={} region_bytes={} kernel={} \
-             queue_depth={} workers={} intra_pool_size={} intra_busy={} intra_queued={} \
-             templates_pruned={} workspace_high_water_bytes={} \
-             batched_requests={} batch_size_p50={} batch_size_p95={} batch_flush_deadline={} \
-             session_yields={} \
-             snapshot_last_save_us={} snapshot_bytes={} warm_start={} \
-             queue_wait_p50_us={} queue_wait_p95_us={} queue_wait_p99_us={} \
-             parse_p50_us={} parse_p95_us={} parse_p99_us={} \
-             recognize_p50_us={} recognize_p95_us={} recognize_p99_us={} \
-             total_p50_us={} total_p95_us={} total_p99_us={} total_p999_us={} total_mean_us={} \
-             queue_wait_hist={} parse_hist={} recognize_hist={} total_hist={}",
-            self.submitted,
-            self.completed,
-            self.failed,
-            self.rejected,
-            self.shed,
-            self.cache_hits,
-            self.expired,
-            self.sessions,
-            self.store_bytes,
-            self.region_hits,
-            self.region_misses,
-            self.region_evictions,
-            self.region_splices,
-            self.region_bytes,
-            self.kernel,
-            self.queue_depth,
-            self.workers,
-            self.intra_pool_size,
-            self.intra_busy,
-            self.intra_queued,
-            self.templates_pruned,
-            self.workspace_high_water_bytes,
-            self.batched_requests,
-            self.batch_size_p50,
-            self.batch_size_p95,
-            self.batch_flush_deadline,
-            self.session_yields,
-            self.snapshot_last_save_us,
-            self.snapshot_bytes,
-            u64::from(self.warm_start),
-            self.queue_wait_p50_us,
-            self.queue_wait_p95_us,
-            self.queue_wait_p99_us,
-            self.parse_p50_us,
-            self.parse_p95_us,
-            self.parse_p99_us,
-            self.recognize_p50_us,
-            self.recognize_p95_us,
-            self.recognize_p99_us,
-            self.total_p50_us,
-            self.total_p95_us,
-            self.total_p99_us,
-            self.total_p999_us,
-            self.total_mean_us,
-            self.queue_wait_hist.encode(),
-            self.parse_hist.encode(),
-            self.recognize_hist.encode(),
-            self.total_hist.encode(),
-        )
+/// `0` or `1`; any nonzero integer reads as true.
+impl WireValue for bool {
+    fn to_token(&self) -> String {
+        u64::from(*self).to_string()
+    }
+    fn from_token(token: &str) -> Option<bool> {
+        token.parse::<u64>().ok().map(|n| n != 0)
+    }
+}
+
+impl WireValue for String {
+    fn to_token(&self) -> String {
+        self.clone()
+    }
+    fn from_token(token: &str) -> Option<String> {
+        Some(token.to_string())
+    }
+}
+
+impl WireValue for HistogramSnapshot {
+    fn to_token(&self) -> String {
+        self.encode()
+    }
+    fn from_token(token: &str) -> Option<HistogramSnapshot> {
+        HistogramSnapshot::decode(token)
+    }
+}
+
+/// Fleet rules: how [`StatsSnapshot::aggregate`] folds one shard's value
+/// of a field into the fleet's. `first` is true for the first shard.
+mod rule {
+    use super::HistogramSnapshot;
+
+    /// Integers that [`sum`] adds without wrapping.
+    pub(super) trait Total: Copy {
+        fn saturating_total(self, other: Self) -> Self;
     }
 
-    /// Folds per-shard snapshots into one fleet view. Counters and gauges
-    /// that add up across processes (job counts, cache traffic, queue
-    /// depth, worker/session totals) are summed; per-stage histograms are
-    /// merged bucket-wise and every percentile field is recomputed from
-    /// the merged distribution — a real fleet percentile. A stage whose
-    /// merged histogram is empty (e.g. snapshots from a build that did not
-    /// send histograms) falls back to the worst shard (max), as do
-    /// non-mergeable high-water figures; `warm_start` is true only when
-    /// every shard warm-started. Aggregating nothing yields the default
-    /// (all-zero) snapshot.
-    pub fn aggregate<'a>(shards: impl IntoIterator<Item = &'a StatsSnapshot>) -> StatsSnapshot {
-        let mut fleet = StatsSnapshot::default();
-        let mut any = false;
-        for shard in shards {
-            fleet.submitted += shard.submitted;
-            fleet.completed += shard.completed;
-            fleet.failed += shard.failed;
-            fleet.rejected += shard.rejected;
-            fleet.shed += shard.shed;
-            fleet.cache_hits += shard.cache_hits;
-            fleet.expired += shard.expired;
-            fleet.sessions += shard.sessions;
-            fleet.store_bytes += shard.store_bytes;
-            fleet.region_hits += shard.region_hits;
-            fleet.region_misses += shard.region_misses;
-            fleet.region_evictions += shard.region_evictions;
-            fleet.region_splices += shard.region_splices;
-            fleet.region_bytes += shard.region_bytes;
-            // One dispatch decision per process: shards normally agree, and
-            // a split fleet (mid-rollout, mixed hardware) reads `mixed`.
-            if !any {
-                fleet.kernel = shard.kernel.clone();
-            } else if fleet.kernel != shard.kernel {
-                fleet.kernel = "mixed".to_string();
+    impl Total for u64 {
+        fn saturating_total(self, other: u64) -> u64 {
+            self.saturating_add(other)
+        }
+    }
+
+    impl Total for usize {
+        fn saturating_total(self, other: usize) -> usize {
+            self.saturating_add(other)
+        }
+    }
+
+    /// Counts and gauges that add up across processes, saturating at the
+    /// type's maximum.
+    pub(super) fn sum<T: Total>(fleet: &mut T, shard: &T, _first: bool) {
+        *fleet = fleet.saturating_total(*shard);
+    }
+
+    /// Figures that do not add up (high-water marks, staleness, exact batch
+    /// sizes): the worst shard.
+    pub(super) fn max<T: Ord + Copy>(fleet: &mut T, shard: &T, _first: bool) {
+        *fleet = (*fleet).max(*shard);
+    }
+
+    /// True only when every shard is.
+    pub(super) fn all(fleet: &mut bool, shard: &bool, first: bool) {
+        *fleet = (first || *fleet) && *shard;
+    }
+
+    /// One value per process: agreeing shards keep it, and a split fleet
+    /// (mid-rollout, mixed hardware) reads `mixed`.
+    pub(super) fn same(fleet: &mut String, shard: &str, first: bool) {
+        if first {
+            *fleet = shard.to_string();
+        } else if *fleet != shard {
+            *fleet = "mixed".to_string();
+        }
+    }
+
+    /// Bucket-wise merge: the fleet distribution is the histogram of every
+    /// shard's samples, so its percentiles are real fleet percentiles.
+    pub(super) fn merge(fleet: &mut HistogramSnapshot, shard: &HistogramSnapshot, _first: bool) {
+        fleet.merge(shard);
+    }
+}
+
+/// Generates [`StatsSnapshot`] and its wire codec and fleet aggregate from
+/// one table. Each row is `doc, name: type => rule`, where `rule` names a
+/// function in [`rule`]; the row order is the wire order. `Display` is
+/// the one hand-written layout.
+macro_rules! stats_schema {
+    ($($(#[$doc:meta])* $name:ident: $ty:ty => $rule:ident,)*) => {
+        /// Point-in-time view of the engine counters, used by the `stats`
+        /// request and the periodic log line. Latency percentiles are not
+        /// stored: `Display` reads them off the four `*_hist` fields.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+
+        impl StatsSnapshot {
+            /// Serializes as the space-separated `key=value` pairs used on
+            /// the wire, one per field.
+            pub fn to_wire(&self) -> String {
+                [$(format!("{}={}", stringify!($name), self.$name.to_token()),)*].join(" ")
             }
-            fleet.queue_depth += shard.queue_depth;
-            fleet.workers += shard.workers;
-            fleet.intra_pool_size += shard.intra_pool_size;
-            fleet.intra_busy += shard.intra_busy;
-            fleet.intra_queued += shard.intra_queued;
-            fleet.templates_pruned += shard.templates_pruned;
-            fleet.batched_requests += shard.batched_requests;
-            fleet.batch_flush_deadline += shard.batch_flush_deadline;
-            fleet.session_yields += shard.session_yields;
-            fleet.snapshot_bytes += shard.snapshot_bytes;
-            fleet.workspace_high_water_bytes = fleet
-                .workspace_high_water_bytes
-                .max(shard.workspace_high_water_bytes);
-            fleet.queue_wait_p50_us = fleet.queue_wait_p50_us.max(shard.queue_wait_p50_us);
-            fleet.queue_wait_p95_us = fleet.queue_wait_p95_us.max(shard.queue_wait_p95_us);
-            fleet.queue_wait_p99_us = fleet.queue_wait_p99_us.max(shard.queue_wait_p99_us);
-            fleet.parse_p50_us = fleet.parse_p50_us.max(shard.parse_p50_us);
-            fleet.parse_p95_us = fleet.parse_p95_us.max(shard.parse_p95_us);
-            fleet.parse_p99_us = fleet.parse_p99_us.max(shard.parse_p99_us);
-            fleet.recognize_p50_us = fleet.recognize_p50_us.max(shard.recognize_p50_us);
-            fleet.recognize_p95_us = fleet.recognize_p95_us.max(shard.recognize_p95_us);
-            fleet.recognize_p99_us = fleet.recognize_p99_us.max(shard.recognize_p99_us);
-            fleet.total_p50_us = fleet.total_p50_us.max(shard.total_p50_us);
-            fleet.total_p95_us = fleet.total_p95_us.max(shard.total_p95_us);
-            fleet.total_p99_us = fleet.total_p99_us.max(shard.total_p99_us);
-            fleet.total_p999_us = fleet.total_p999_us.max(shard.total_p999_us);
-            fleet.total_mean_us = fleet.total_mean_us.max(shard.total_mean_us);
-            fleet.batch_size_p50 = fleet.batch_size_p50.max(shard.batch_size_p50);
-            fleet.batch_size_p95 = fleet.batch_size_p95.max(shard.batch_size_p95);
-            // Oldest save is the fleet's staleness bound.
-            fleet.snapshot_last_save_us =
-                fleet.snapshot_last_save_us.max(shard.snapshot_last_save_us);
-            fleet.warm_start = if any {
-                fleet.warm_start && shard.warm_start
-            } else {
-                shard.warm_start
-            };
-            fleet.queue_wait_hist.merge(&shard.queue_wait_hist);
-            fleet.parse_hist.merge(&shard.parse_hist);
-            fleet.recognize_hist.merge(&shard.recognize_hist);
-            fleet.total_hist.merge(&shard.total_hist);
-            any = true;
-        }
-        if fleet.queue_wait_hist.samples() > 0 {
-            fleet.queue_wait_p50_us = fleet.queue_wait_hist.quantile_us(0.5);
-            fleet.queue_wait_p95_us = fleet.queue_wait_hist.quantile_us(0.95);
-            fleet.queue_wait_p99_us = fleet.queue_wait_hist.quantile_us(0.99);
-        }
-        if fleet.parse_hist.samples() > 0 {
-            fleet.parse_p50_us = fleet.parse_hist.quantile_us(0.5);
-            fleet.parse_p95_us = fleet.parse_hist.quantile_us(0.95);
-            fleet.parse_p99_us = fleet.parse_hist.quantile_us(0.99);
-        }
-        if fleet.recognize_hist.samples() > 0 {
-            fleet.recognize_p50_us = fleet.recognize_hist.quantile_us(0.5);
-            fleet.recognize_p95_us = fleet.recognize_hist.quantile_us(0.95);
-            fleet.recognize_p99_us = fleet.recognize_hist.quantile_us(0.99);
-        }
-        if fleet.total_hist.samples() > 0 {
-            fleet.total_p50_us = fleet.total_hist.quantile_us(0.5);
-            fleet.total_p95_us = fleet.total_hist.quantile_us(0.95);
-            fleet.total_p99_us = fleet.total_hist.quantile_us(0.99);
-            fleet.total_p999_us = fleet.total_hist.quantile_us(0.999);
-            fleet.total_mean_us = fleet.total_hist.mean_us();
-        }
-        fleet
-    }
 
-    /// Parses the wire form back into a snapshot (used by `gana submit`).
-    pub fn from_wire(text: &str) -> Option<StatsSnapshot> {
-        let mut snap = StatsSnapshot::default();
-        for pair in text.split_whitespace() {
-            let (key, value) = pair.split_once('=')?;
-            match key {
-                "kernel" => snap.kernel = value.to_string(),
-                "queue_wait_hist" => snap.queue_wait_hist = HistogramSnapshot::decode(value)?,
-                "parse_hist" => snap.parse_hist = HistogramSnapshot::decode(value)?,
-                "recognize_hist" => snap.recognize_hist = HistogramSnapshot::decode(value)?,
-                "total_hist" => snap.total_hist = HistogramSnapshot::decode(value)?,
-                _ => {
-                    let n: u64 = value.parse().ok()?;
+            /// Parses the wire form back into a snapshot. Missing keys keep
+            /// their defaults; an unknown key or a malformed value is `None`.
+            pub fn from_wire(text: &str) -> Option<StatsSnapshot> {
+                let mut snap = StatsSnapshot::default();
+                for pair in text.split_whitespace() {
+                    let (key, value) = pair.split_once('=')?;
                     match key {
-                        "submitted" => snap.submitted = n,
-                        "completed" => snap.completed = n,
-                        "failed" => snap.failed = n,
-                        "rejected" => snap.rejected = n,
-                        "shed" => snap.shed = n,
-                        "cache_hits" => snap.cache_hits = n,
-                        "expired" => snap.expired = n,
-                        "sessions" => snap.sessions = n as usize,
-                        "store_bytes" => snap.store_bytes = n,
-                        "region_hits" => snap.region_hits = n,
-                        "region_misses" => snap.region_misses = n,
-                        "region_evictions" => snap.region_evictions = n,
-                        "region_splices" => snap.region_splices = n,
-                        "region_bytes" => snap.region_bytes = n,
-                        "queue_depth" => snap.queue_depth = n as usize,
-                        "workers" => snap.workers = n as usize,
-                        "intra_pool_size" => snap.intra_pool_size = n as usize,
-                        "intra_busy" => snap.intra_busy = n as usize,
-                        "intra_queued" => snap.intra_queued = n as usize,
-                        "templates_pruned" => snap.templates_pruned = n,
-                        "workspace_high_water_bytes" => snap.workspace_high_water_bytes = n,
-                        "queue_wait_p50_us" => snap.queue_wait_p50_us = n,
-                        "queue_wait_p95_us" => snap.queue_wait_p95_us = n,
-                        "queue_wait_p99_us" => snap.queue_wait_p99_us = n,
-                        "parse_p50_us" => snap.parse_p50_us = n,
-                        "parse_p95_us" => snap.parse_p95_us = n,
-                        "parse_p99_us" => snap.parse_p99_us = n,
-                        "recognize_p50_us" => snap.recognize_p50_us = n,
-                        "recognize_p95_us" => snap.recognize_p95_us = n,
-                        "recognize_p99_us" => snap.recognize_p99_us = n,
-                        "total_p50_us" => snap.total_p50_us = n,
-                        "total_p95_us" => snap.total_p95_us = n,
-                        "total_p99_us" => snap.total_p99_us = n,
-                        "total_p999_us" => snap.total_p999_us = n,
-                        "total_mean_us" => snap.total_mean_us = n,
-                        "batched_requests" => snap.batched_requests = n,
-                        "batch_size_p50" => snap.batch_size_p50 = n,
-                        "batch_size_p95" => snap.batch_size_p95 = n,
-                        "batch_flush_deadline" => snap.batch_flush_deadline = n,
-                        "session_yields" => snap.session_yields = n,
-                        "snapshot_last_save_us" => snap.snapshot_last_save_us = n,
-                        "snapshot_bytes" => snap.snapshot_bytes = n,
-                        "warm_start" => snap.warm_start = n != 0,
+                        $(stringify!($name) => snap.$name = WireValue::from_token(value)?,)*
                         _ => return None,
                     }
                 }
+                Some(snap)
+            }
+
+            /// Folds per-shard snapshots into one fleet view, field by field
+            /// under each field's fleet rule: counters and additive gauges sum,
+            /// histograms merge bucket-wise, high-water figures take the worst
+            /// shard, `warm_start` holds only when every shard warm-started,
+            /// and `kernel` reads `mixed` when shards disagree. Aggregating
+            /// nothing yields the default (all-zero) snapshot.
+            pub fn aggregate<'a>(
+                shards: impl IntoIterator<Item = &'a StatsSnapshot>,
+            ) -> StatsSnapshot {
+                let mut fleet = StatsSnapshot::default();
+                for (i, shard) in shards.into_iter().enumerate() {
+                    $(rule::$rule(&mut fleet.$name, &shard.$name, i == 0);)*
+                }
+                fleet
             }
         }
-        Some(snap)
-    }
+    };
+}
+
+stats_schema! {
+    /// Jobs accepted into the queue.
+    submitted: u64 => sum,
+    /// Jobs finished successfully.
+    completed: u64 => sum,
+    /// Jobs finished with a structured error.
+    failed: u64 => sum,
+    /// Submissions rejected with `QueueFull`.
+    rejected: u64 => sum,
+    /// Submissions shed pre-queue by deadline-aware overload protection.
+    shed: u64 => sum,
+    /// Jobs answered from the result cache.
+    cache_hits: u64 => sum,
+    /// Jobs dropped before processing (deadline/cancel).
+    expired: u64 => sum,
+    /// Open incremental sessions.
+    sessions: usize => sum,
+    /// Heap bytes pinned by open sessions' unified circuit stores (graph,
+    /// CCC, coarsening, and hierarchy sections).
+    store_bytes: u64 => sum,
+    /// Region-cache (sub-block VF2) lookups answered from the cache.
+    region_hits: u64 => sum,
+    /// Region-cache lookups that ran the matcher.
+    region_misses: u64 => sum,
+    /// Region-cache entries evicted to stay under the byte budget.
+    region_evictions: u64 => sum,
+    /// Sub-block results spliced from prior session state.
+    region_splices: u64 => sum,
+    /// Bytes currently held by the region cache.
+    region_bytes: u64 => sum,
+    /// Active spmm/axpy kernel variant (`avx2`, `neon`, or `scalar`).
+    kernel: String => same,
+    /// Jobs waiting in the queue right now.
+    queue_depth: usize => sum,
+    /// Worker threads in the pool.
+    workers: usize => sum,
+    /// Per-worker intra-request thread budget.
+    intra_pool_size: usize => sum,
+    /// Intra-request pool workers currently executing items (all workers).
+    intra_busy: usize => sum,
+    /// Intra-request items claimed by no worker yet (all workers).
+    intra_queued: usize => sum,
+    /// Templates skipped by the VF2 candidate prefilter (all workers).
+    templates_pruned: u64 => sum,
+    /// Peak per-worker annotation-workspace footprint in bytes.
+    workspace_high_water_bytes: u64 => max,
+    /// Jobs served from inside a fused micro-batch of ≥ 2.
+    batched_requests: u64 => sum,
+    /// Median fused-batch size (exact; the size histogram stays in-process).
+    batch_size_p50: u64 => max,
+    /// p95 fused-batch size (exact).
+    batch_size_p95: u64 => max,
+    /// Batch flushes forced early by a member's deadline.
+    batch_flush_deadline: u64 => sum,
+    /// Session drains yielded back to the queue for fairness.
+    session_yields: u64 => sum,
+    /// Microseconds since the last successful snapshot save (`0` = never);
+    /// the fleet reports its oldest save.
+    snapshot_last_save_us: u64 => max,
+    /// Size in bytes of the last written snapshot (`0` = none).
+    snapshot_bytes: u64 => sum,
+    /// True when the engine warm-started from a snapshot at boot.
+    warm_start: bool => all,
+    /// Queue-wait distribution (sparse, mergeable).
+    queue_wait_hist: HistogramSnapshot => merge,
+    /// Parse-stage distribution.
+    parse_hist: HistogramSnapshot => merge,
+    /// Recognize-stage distribution.
+    recognize_hist: HistogramSnapshot => merge,
+    /// End-to-end distribution.
+    total_hist: HistogramSnapshot => merge,
 }
 
 /// Formats one latency figure for the human-readable stats line. Every
@@ -812,6 +637,13 @@ fn human_us(us: u64) -> String {
     } else {
         format!("{:.2}s", us as f64 / 1_000_000.0)
     }
+}
+
+/// A stage's `p50/p95/p99` for the human-readable stats line.
+fn human_percentiles(hist: &HistogramSnapshot) -> String {
+    [0.5, 0.95, 0.99]
+        .map(|q| human_us(hist.quantile_us(q)))
+        .join("/")
 }
 
 impl StatsSnapshot {
@@ -845,8 +677,7 @@ impl fmt::Display for StatsSnapshot {
              {} threads/worker, {} busy, {} queued | workspace: {} templates \
              pruned, {} B peak | batch: {} fused jobs, size p50/p95 {}/{}, \
              {} deadline flushes, {} session yields | snapshot: {} | latency \
-             p50/p95/p99: wait {}/{}/{}, parse {}/{}/{}, recognize {}/{}/{}, \
-             total {}/{}/{} (p999 {}, mean {})",
+             p50/p95/p99: wait {}, parse {}, recognize {}, total {} (p999 {}, mean {})",
             self.submitted,
             self.completed,
             self.failed,
@@ -857,7 +688,7 @@ impl fmt::Display for StatsSnapshot {
             self.sessions,
             self.store_bytes,
             self.region_hits,
-            self.region_hits + self.region_misses,
+            self.region_hits.saturating_add(self.region_misses),
             self.region_splices,
             self.region_bytes,
             self.region_evictions,
@@ -879,20 +710,12 @@ impl fmt::Display for StatsSnapshot {
             self.batch_flush_deadline,
             self.session_yields,
             self.snapshot_summary(),
-            human_us(self.queue_wait_p50_us),
-            human_us(self.queue_wait_p95_us),
-            human_us(self.queue_wait_p99_us),
-            human_us(self.parse_p50_us),
-            human_us(self.parse_p95_us),
-            human_us(self.parse_p99_us),
-            human_us(self.recognize_p50_us),
-            human_us(self.recognize_p95_us),
-            human_us(self.recognize_p99_us),
-            human_us(self.total_p50_us),
-            human_us(self.total_p95_us),
-            human_us(self.total_p99_us),
-            human_us(self.total_p999_us),
-            human_us(self.total_mean_us),
+            human_percentiles(&self.queue_wait_hist),
+            human_percentiles(&self.parse_hist),
+            human_percentiles(&self.recognize_hist),
+            human_percentiles(&self.total_hist),
+            human_us(self.total_hist.quantile_us(0.999)),
+            human_us(self.total_hist.mean_us()),
         )
     }
 }
@@ -1027,12 +850,12 @@ mod tests {
         assert_eq!(human_us(999), "999µs");
         assert_eq!(human_us(1_500), "1.5ms");
         assert_eq!(human_us(2_345_678), "2.35s");
-        let snap = StatsSnapshot {
-            parse_p50_us: 0,
-            recognize_p50_us: 2048,
-            total_mean_us: 900,
-            ..StatsSnapshot::default()
-        };
+        // Percentiles are read off the histograms: parse saw nothing, the
+        // recognize median lands in a bucket whose bound is 2015µs.
+        let metrics = Metrics::default();
+        metrics.recognize.record(Duration::from_micros(2_000));
+        metrics.total.record(Duration::from_micros(900));
+        let snap = metrics.snapshot();
         let text = snap.to_string();
         // One unit rule for every stage: the sub-µs stage is labeled, not a
         // bare 0, and ms-scale figures carry their unit.
@@ -1061,70 +884,112 @@ mod tests {
         );
     }
 
+    /// A snapshot with every field set, built the way
+    /// [`Engine::stats`](crate::Engine::stats) builds one: counters and
+    /// histograms from [`Metrics`], gauges set by name. Every counter is
+    /// distinct and nonzero and every histogram non-empty, so a renamed,
+    /// dropped or swapped field changes the wire line.
+    fn populated_snapshot() -> StatsSnapshot {
+        let metrics = Metrics::default();
+        for (counter, value) in [
+            (&metrics.submitted, 41),
+            (&metrics.completed, 29),
+            (&metrics.failed, 4),
+            (&metrics.rejected, 5),
+            (&metrics.shed, 3),
+            (&metrics.cache_hits, 11),
+            (&metrics.expired, 2),
+            (&metrics.batched_requests, 23),
+            (&metrics.batch_flush_deadline, 25),
+            (&metrics.session_yields, 24),
+        ] {
+            counter.store(value, Ordering::Relaxed);
+        }
+        for us in [90, 95] {
+            metrics.queue_wait.record(Duration::from_micros(us));
+        }
+        metrics.parse.record(Duration::from_micros(40));
+        for us in [1_800, 2_100] {
+            metrics.recognize.record(Duration::from_micros(us));
+        }
+        for us in [2_000, 2_300, 150_000] {
+            metrics.total.record(Duration::from_micros(us));
+        }
+        for size in [9, 9, 12] {
+            metrics.batch_sizes.record(size);
+        }
+        StatsSnapshot {
+            queue_depth: 13,
+            workers: 8,
+            sessions: 6,
+            store_bytes: 7168,
+            region_hits: 15,
+            region_misses: 16,
+            region_evictions: 17,
+            region_splices: 18,
+            region_bytes: 4096,
+            kernel: "avx2".to_string(),
+            intra_pool_size: 20,
+            intra_busy: 21,
+            intra_queued: 22,
+            templates_pruned: 42,
+            workspace_high_water_bytes: 65536,
+            snapshot_last_save_us: 2_500_000,
+            snapshot_bytes: 8192,
+            warm_start: true,
+            ..metrics.snapshot()
+        }
+    }
+
     #[test]
     fn snapshot_wire_round_trip() {
-        let metrics = Metrics::default();
-        metrics.submitted.store(17, Ordering::Relaxed);
-        metrics.completed.store(15, Ordering::Relaxed);
-        metrics.shed.store(3, Ordering::Relaxed);
-        metrics.total.record(Duration::from_micros(500));
-        metrics.queue_wait.record(Duration::from_micros(90));
-        metrics.batched_requests.store(6, Ordering::Relaxed);
-        metrics.batch_flush_deadline.store(2, Ordering::Relaxed);
-        metrics.session_yields.store(4, Ordering::Relaxed);
-        metrics.batch_sizes.record(3);
-        metrics.batch_sizes.record(8);
-        let region = RegionCacheStats {
-            hits: 5,
-            misses: 2,
-            evictions: 1,
-            splices: 4,
-            bytes: 4096,
-            entries: 6,
-        };
-        let snap = metrics.snapshot(
-            3,
-            8,
-            2,
-            7168,
-            region,
-            GaugeSnapshot {
-                size: 2,
-                busy: 1,
-                queued: 5,
-            },
-            WorkspaceStats {
-                templates_pruned: 42,
-                high_water_bytes: 65536,
-            },
-            SnapshotGauge {
-                last_save_us: 2_500_000,
-                bytes: 8192,
-                warm_start: true,
-            },
-            "avx2",
-        );
-        assert_eq!(snap.store_bytes, 7168);
-        assert_eq!(snap.kernel, "avx2");
-        assert_eq!(snap.intra_pool_size, 2);
-        assert_eq!(snap.snapshot_last_save_us, 2_500_000);
-        assert_eq!(snap.snapshot_bytes, 8192);
-        assert!(snap.warm_start);
-        assert_eq!(snap.intra_busy, 1);
-        assert_eq!(snap.intra_queued, 5);
-        assert_eq!(snap.templates_pruned, 42);
-        assert_eq!(snap.workspace_high_water_bytes, 65536);
-        assert_eq!(snap.batched_requests, 6);
-        assert_eq!(snap.batch_size_p50, 3);
-        assert_eq!(snap.batch_size_p95, 8);
-        assert_eq!(snap.batch_flush_deadline, 2);
+        let snap = populated_snapshot();
         assert_eq!(snap.shed, 3);
-        assert_eq!(snap.session_yields, 4);
-        assert_eq!(snap.total_hist.samples(), 1);
-        assert_eq!(snap.queue_wait_hist.samples(), 1);
+        assert_eq!(snap.batched_requests, 23);
+        assert_eq!(snap.batch_size_p50, 9);
+        assert_eq!(snap.batch_size_p95, 12);
+        assert_eq!(snap.batch_flush_deadline, 25);
+        assert_eq!(snap.session_yields, 24);
+        assert_eq!(snap.queue_wait_hist.samples(), 2);
+        assert_eq!(snap.parse_hist.samples(), 1);
+        assert_eq!(snap.recognize_hist.samples(), 2);
+        assert_eq!(snap.total_hist.samples(), 3);
         let wire = snap.to_wire();
         let back = StatsSnapshot::from_wire(&wire).expect("parses");
         assert_eq!(snap, back);
+        // Unknown keys and malformed values are rejected, not skipped.
+        assert!(StatsSnapshot::from_wire(&format!("{wire} total_p50_us=1")).is_none());
+        assert!(StatsSnapshot::from_wire("submitted=x").is_none());
+        assert!(StatsSnapshot::from_wire("submitted").is_none());
+    }
+
+    #[test]
+    fn stats_line_is_pinned() {
+        let snap = populated_snapshot();
+        assert_eq!(
+            snap.to_wire(),
+            "submitted=41 completed=29 failed=4 rejected=5 shed=3 cache_hits=11 expired=2 \
+             sessions=6 store_bytes=7168 region_hits=15 region_misses=16 region_evictions=17 \
+             region_splices=18 region_bytes=4096 kernel=avx2 queue_depth=13 workers=8 \
+             intra_pool_size=20 intra_busy=21 intra_queued=22 templates_pruned=42 \
+             workspace_high_water_bytes=65536 batched_requests=23 batch_size_p50=9 \
+             batch_size_p95=12 batch_flush_deadline=25 session_yields=24 \
+             snapshot_last_save_us=2500000 snapshot_bytes=8192 warm_start=1 \
+             queue_wait_hist=185;77:1;79:1 parse_hist=40;40:1 \
+             recognize_hist=3900;216:1;224:1 total_hist=154300;222:1;227:1;420:1"
+        );
+        assert_eq!(
+            snap.to_string(),
+            "jobs: 41 submitted, 29 completed, 4 failed, 5 rejected, 3 shed, 11 cache hits, \
+             2 expired | sessions: 6 open, 7168 B store, region cache 15/31 hit, 18 spliced, \
+             4096 B, 17 evicted | kernel: avx2 | queue: 13 deep, 8 workers | intra pool: \
+             20 threads/worker, 21 busy, 22 queued | workspace: 42 templates pruned, \
+             65536 B peak | batch: 23 fused jobs, size p50/p95 9/12, 25 deadline flushes, \
+             24 session yields | snapshot: warm start, saved 2.50s ago (8192 B) | latency \
+             p50/p95/p99: wait 91µs/95µs/95µs, parse 40µs/40µs/40µs, \
+             recognize 1.8ms/2.1ms/2.1ms, total 2.3ms/151.6ms/151.6ms \
+             (p999 151.6ms, mean 51.4ms)"
+        );
     }
 
     #[test]
@@ -1139,24 +1004,18 @@ mod tests {
         for _ in 0..10 {
             slow.total.record(Duration::from_micros(10_000));
         }
-        let a = StatsSnapshot {
-            total_p50_us: fast.total.quantile_us(0.5),
-            total_hist: fast.total.snapshot(),
-            ..StatsSnapshot::default()
-        };
-        let b = StatsSnapshot {
-            total_p50_us: slow.total.quantile_us(0.5),
-            total_hist: slow.total.snapshot(),
-            ..StatsSnapshot::default()
-        };
-        let fleet = StatsSnapshot::aggregate([&a, &b]);
+        let fleet = StatsSnapshot::aggregate([&fast.snapshot(), &slow.snapshot()]);
         assert_eq!(fleet.total_hist.samples(), 100);
+        let p50 = fleet.total_hist.quantile_us(0.5);
         assert!(
-            fleet.total_p50_us <= 104,
-            "fleet p50 ~100µs, not the slow shard's 10ms: {}",
-            fleet.total_p50_us
+            p50 <= 104,
+            "fleet p50 ~100µs, not the slow shard's 10ms: {p50}"
         );
-        assert!(fleet.total_p999_us >= 10_000, "tail sees the slow shard");
+        assert!(
+            fleet.total_hist.quantile_us(0.999) >= 10_000,
+            "tail sees the slow shard"
+        );
+        assert!(fleet.to_string().contains("(p999 10.2ms, mean"), "{fleet}");
     }
 
     #[test]
@@ -1173,7 +1032,7 @@ mod tests {
             region_hits: 7,
             region_bytes: 100,
             kernel: "avx2".to_string(),
-            total_p95_us: 800,
+            batch_size_p95: 4,
             session_yields: 1,
             workspace_high_water_bytes: 4096,
             snapshot_last_save_us: 1_000,
@@ -1192,7 +1051,7 @@ mod tests {
             region_hits: 2,
             region_bytes: 40,
             kernel: "avx2".to_string(),
-            total_p95_us: 1200,
+            batch_size_p95: 8,
             session_yields: 2,
             workspace_high_water_bytes: 1024,
             snapshot_last_save_us: 9_000,
@@ -1214,8 +1073,8 @@ mod tests {
         assert_eq!(fleet.kernel, "avx2", "agreeing shards keep the name");
         assert_eq!(fleet.session_yields, 3);
         assert_eq!(
-            fleet.total_p95_us, 1200,
-            "no histograms: falls back to worst shard"
+            fleet.batch_size_p95, 8,
+            "exact batch sizes take the worst shard"
         );
         assert_eq!(fleet.workspace_high_water_bytes, 4096);
         assert_eq!(fleet.snapshot_last_save_us, 9_000, "oldest save wins");

@@ -1,16 +1,19 @@
 //! Robustness of the wire decoders against untrusted bytes.
 //!
 //! Every decoder that reads what a peer sent — the binary frame reader,
-//! the frame body decoders, and the text line parsers — must answer
-//! arbitrary or corrupted input with a structured error, never a panic.
-//! Whatever a decoder does accept must survive a re-encode: the bytes its
-//! value encodes to decode to an equal value.
+//! the frame body decoders, the text line parsers, and the stats line and
+//! histogram decoders — must answer arbitrary or corrupted input with a
+//! structured error, never a panic. Whatever a decoder does accept must
+//! survive a re-encode: the bytes its value encodes to decode to an equal
+//! value.
 
 use gana_core::Task;
 use gana_serve::frame::{self, HEADER_BYTES};
 use gana_serve::protocol::{Request, Response};
-use gana_serve::Annotation;
+use gana_serve::{Annotation, HistogramSnapshot, Metrics, StatsSnapshot};
 use proptest::prelude::*;
+use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 fn annotation() -> Annotation {
     Annotation {
@@ -173,6 +176,197 @@ const VERBS: &[&str] = &[
     "stats ",
     "fleet ",
 ];
+
+/// A valid stats line with every counter nonzero and every histogram
+/// non-empty.
+fn stats_line() -> String {
+    let metrics = Metrics::default();
+    for (i, counter) in [
+        &metrics.submitted,
+        &metrics.completed,
+        &metrics.failed,
+        &metrics.rejected,
+        &metrics.shed,
+        &metrics.cache_hits,
+        &metrics.expired,
+        &metrics.batched_requests,
+        &metrics.batch_flush_deadline,
+        &metrics.session_yields,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        counter.store(i as u64 + 1, Ordering::Relaxed);
+    }
+    for (us, histogram) in [
+        (70, &metrics.queue_wait),
+        (30, &metrics.parse),
+        (1_900, &metrics.recognize),
+        (2_100, &metrics.total),
+    ] {
+        histogram.record(Duration::from_micros(us));
+        histogram.record(Duration::from_micros(us * 40));
+    }
+    metrics.batch_sizes.record(4);
+    StatsSnapshot {
+        sessions: 2,
+        region_hits: 9,
+        region_misses: 3,
+        kernel: "scalar".to_string(),
+        workers: 2,
+        warm_start: true,
+        snapshot_bytes: 4096,
+        ..metrics.snapshot()
+    }
+    .to_wire()
+}
+
+/// Feeds `text` to the stats line decoder and, token by token, to the
+/// histogram decoder. Accepted values must re-encode to text that decodes
+/// to an equal value, and fleet aggregation and the human-readable line
+/// must not panic on them.
+fn check_stats(text: &str) {
+    if let Some(snap) = StatsSnapshot::from_wire(text) {
+        assert_eq!(
+            StatsSnapshot::from_wire(&snap.to_wire()).as_ref(),
+            Some(&snap),
+            "re-encoded stats line decodes to the same value"
+        );
+        let valid = StatsSnapshot::from_wire(&stats_line()).expect("valid line");
+        let _ = StatsSnapshot::aggregate([&snap, &snap]).to_string();
+        let _ = StatsSnapshot::aggregate([&valid, &snap]).to_string();
+    }
+    for token in std::iter::once(text).chain(text.split([' ', '='])) {
+        if let Some(histogram) = HistogramSnapshot::decode(token) {
+            assert_eq!(
+                HistogramSnapshot::decode(&histogram.encode()).as_ref(),
+                Some(&histogram),
+                "re-encoded histogram decodes to the same value"
+            );
+            let mut merged = histogram.clone();
+            merged.merge(&histogram);
+            let _ = (merged.quantile_us(0.999), merged.mean_us());
+        }
+    }
+}
+
+/// Bytes the stats codecs split or parse on, so random text reaches their
+/// branches instead of failing at the first byte.
+const STATS_BYTES: &[u8] = b" =;:-_0123456789aeklrst\xff";
+/// Values that sit at or next to the `u64` edges.
+const EDGE_VALUES: &[&str] = &[
+    "0",
+    "1",
+    "18446744073709551614",
+    "18446744073709551615",
+    "18446744073709551616",
+];
+
+/// A `key=value` token for one field of the valid stats line: `value` is
+/// an edge value or, for histograms, `total;bucket:count` built from them.
+fn edge_token(key: usize, value: usize, bucket: u32) -> String {
+    let line = stats_line();
+    let keys: Vec<&str> = line
+        .split(' ')
+        .filter_map(|pair| pair.split_once('=').map(|(key, _)| key))
+        .collect();
+    let key = keys[key % keys.len()];
+    let value = EDGE_VALUES[value % EDGE_VALUES.len()];
+    if key.ends_with("_hist") {
+        format!("{key}={value};{bucket}:{value};{}:{value}", bucket / 2)
+    } else {
+        format!("{key}={value}")
+    }
+}
+
+#[test]
+fn stats_histogram_counts_that_overflow_are_rejected() {
+    assert_eq!(
+        HistogramSnapshot::decode("0;1:18446744073709551615;2:1"),
+        None
+    );
+    // A total that just fits is still a histogram.
+    let full = HistogramSnapshot::decode("0;1:18446744073709551614;2:1").expect("fits");
+    assert_eq!(full.samples(), u64::MAX);
+}
+
+#[test]
+fn stats_fleet_sums_saturate() {
+    let big = StatsSnapshot::from_wire("submitted=18446744073709551615").expect("decodes");
+    let one = StatsSnapshot::from_wire("submitted=1").expect("decodes");
+    assert_eq!(StatsSnapshot::aggregate([&big, &one]).submitted, u64::MAX);
+}
+
+#[test]
+fn stats_histogram_merges_saturate() {
+    let a = StatsSnapshot::from_wire("total_hist=18446744073709551615;300:1").expect("decodes");
+    let b = StatsSnapshot::from_wire("total_hist=1;300:1").expect("decodes");
+    let mut merged = a.total_hist.clone();
+    merged.merge(&b.total_hist);
+    assert_eq!(merged.samples(), 2);
+    assert_eq!(merged.mean_us(), u64::MAX / 2);
+    let fleet = StatsSnapshot::aggregate([&a, &b]);
+    assert_eq!(fleet.total_hist, merged);
+}
+
+#[test]
+fn stats_display_hit_total_saturates() {
+    let snap = StatsSnapshot::from_wire("region_hits=18446744073709551615 region_misses=1")
+        .expect("decodes");
+    let text = snap.to_string();
+    assert!(
+        text.contains("region cache 18446744073709551615/18446744073709551615 hit"),
+        "{text}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_strings_never_panic_the_stats_decoders(
+        key in any::<usize>(),
+        tail in prop::collection::vec(0usize..STATS_BYTES.len(), 0..80),
+    ) {
+        let tail: Vec<u8> = tail.iter().map(|&i| STATS_BYTES[i]).collect();
+        let tail = String::from_utf8_lossy(&tail).into_owned();
+        check_stats(&tail);
+        // Behind a known key, so the value decoders see the random text.
+        let keyed = edge_token(key, 0, 0);
+        let (key, _) = keyed.split_once('=').expect("key=value");
+        check_stats(&format!("{key}={tail}"));
+    }
+
+    #[test]
+    fn single_byte_mutations_of_a_stats_line(
+        position in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let mut line = stats_line().into_bytes();
+        let position = position % line.len();
+        line[position] = byte;
+        check_stats(&String::from_utf8_lossy(&line));
+    }
+
+    #[test]
+    fn edge_values_aggregate_and_display(
+        fields in prop::collection::vec((any::<usize>(), any::<usize>(), 0u32..1984), 1..6),
+    ) {
+        let line: Vec<String> = fields
+            .iter()
+            .map(|&(key, value, bucket)| edge_token(key, value, bucket))
+            .collect();
+        let (a, b) = line.split_at(line.len() / 2);
+        check_stats(&a.join(" "));
+        check_stats(&b.join(" "));
+        if let (Some(a), Some(b)) = (
+            StatsSnapshot::from_wire(&a.join(" ")),
+            StatsSnapshot::from_wire(&b.join(" ")),
+        ) {
+            let _ = StatsSnapshot::aggregate([&a, &b]).to_string();
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]

@@ -1,5 +1,4 @@
 use crate::{CsrMatrix, Result, SparseError};
-use serde::{Deserialize, Serialize};
 
 /// A coordinate-format (triplet) sparse matrix builder.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CooMatrix {
     rows: usize,
     cols: usize,

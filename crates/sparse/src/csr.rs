@@ -1,7 +1,6 @@
 use crate::kernel::{self, Kernel};
 use crate::{CooMatrix, DenseMatrix, Result, SparseError};
 use gana_par::Parallelism;
-use serde::{Deserialize, Serialize};
 
 /// Smallest number of output rows a parallel spmm worker takes per claim;
 /// below this the spawn/claim overhead dominates the row arithmetic.
@@ -28,7 +27,7 @@ const PAR_ROW_GRAIN: usize = 64;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,

@@ -1,6 +1,5 @@
 use crate::kernel;
 use crate::{Result, SparseError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
@@ -23,7 +22,7 @@ use std::ops::{Add, Mul, Sub};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,

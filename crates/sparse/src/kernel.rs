@@ -24,17 +24,14 @@
 //!
 //! The active kernel is resolved once, on first use, from the `GANA_KERNEL`
 //! environment variable (`scalar`, `avx2`, `neon`, or `auto`) falling back
-//! to CPU-feature detection. [`force`] overrides the choice process-wide at
-//! any time (used by `EngineBuilder` and tests); requesting a kernel the CPU
-//! cannot run falls back to scalar rather than faulting. Per-call entry
-//! points ([`crate::CsrMatrix::mul_dense_into_with_kernel`]) bypass the
-//! global selection entirely so both paths are testable in one process on
-//! any box.
+//! to CPU-feature detection; requesting a kernel the CPU cannot run falls
+//! back to scalar rather than faulting. Per-call entry points
+//! ([`crate::CsrMatrix::mul_dense_into_with_kernel`]) bypass the global
+//! selection entirely so both paths are testable in one process on any box.
 
 #![allow(unsafe_code)]
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Column-tile width shared by every spmm kernel variant: eight `f64`s span
@@ -109,64 +106,24 @@ impl Kernel {
     }
 }
 
-/// Process-wide override set by [`force`]: 0 = none, else `Kernel` tag + 1.
-static FORCED: AtomicU8 = AtomicU8::new(0);
+/// The `GANA_KERNEL`-resolved kernel, computed once on first [`active`] call.
+static ACTIVE: OnceLock<Kernel> = OnceLock::new();
 
-/// Environment-resolved default, computed once on first [`active`] call.
-static DEFAULT: OnceLock<Kernel> = OnceLock::new();
-
-fn from_tag(tag: u8) -> Option<Kernel> {
-    match tag {
-        1 => Some(Kernel::Scalar),
-        2 => Some(Kernel::Avx2),
-        3 => Some(Kernel::Neon),
-        _ => None,
+/// Resolves a `GANA_KERNEL` request: a runnable named kernel is used as is,
+/// a named kernel this CPU cannot run degrades to scalar (never faults),
+/// and no request, `auto`, or an unknown name means CPU-feature detection.
+fn resolve(requested: Option<&str>) -> Kernel {
+    match requested.map(Kernel::parse) {
+        Some(Some(k)) if k.is_available() => k,
+        Some(Some(_)) => Kernel::Scalar,
+        Some(None) | None => Kernel::detect(),
     }
 }
 
-fn to_tag(kernel: Option<Kernel>) -> u8 {
-    match kernel {
-        None => 0,
-        Some(Kernel::Scalar) => 1,
-        Some(Kernel::Avx2) => 2,
-        Some(Kernel::Neon) => 3,
-    }
-}
-
-fn resolve_default() -> Kernel {
-    let requested = std::env::var("GANA_KERNEL").ok();
-    match requested.as_deref() {
-        Some(name) => match Kernel::parse(name) {
-            Some(k) if k.is_available() => k,
-            // An explicitly requested but unavailable kernel degrades to
-            // scalar (never faults); unknown names mean auto-detect.
-            Some(_) => Kernel::Scalar,
-            None => Kernel::detect(),
-        },
-        None => Kernel::detect(),
-    }
-}
-
-/// The kernel every dispatching entry point runs right now: the [`force`]
-/// override when set, otherwise the `GANA_KERNEL`/auto-detected default.
+/// The kernel every dispatching entry point runs: `GANA_KERNEL` when set,
+/// otherwise the auto-detected default, fixed for the life of the process.
 pub fn active() -> Kernel {
-    if let Some(k) = from_tag(FORCED.load(Ordering::Relaxed)) {
-        return k;
-    }
-    *DEFAULT.get_or_init(resolve_default)
-}
-
-/// Overrides the active kernel process-wide (`None` restores the
-/// `GANA_KERNEL`/auto default). Forcing a kernel the CPU cannot execute
-/// selects scalar instead, so a config written on one box is safe on
-/// another. Returns the kernel that is now active.
-pub fn force(kernel: Option<Kernel>) -> Kernel {
-    let effective = match kernel {
-        Some(k) if !k.is_available() => Some(Kernel::Scalar),
-        other => other,
-    };
-    FORCED.store(to_tag(effective), Ordering::Relaxed);
-    active()
+    *ACTIVE.get_or_init(|| resolve(std::env::var("GANA_KERNEL").ok().as_deref()))
 }
 
 /// Computes output rows `range` of the CSR×dense product into `dst` (a
@@ -611,13 +568,15 @@ mod tests {
 
     #[test]
     fn force_falls_back_to_scalar_for_unavailable_kernels() {
-        let unavailable = [Kernel::Avx2, Kernel::Neon]
-            .into_iter()
-            .find(|k| !k.is_available());
-        if let Some(k) = unavailable {
-            assert_eq!(force(Some(k)), Kernel::Scalar);
+        // `GANA_KERNEL` naming a kernel this CPU cannot run degrades to
+        // scalar; a runnable one is taken as is.
+        for k in [Kernel::Scalar, Kernel::Avx2, Kernel::Neon] {
+            let expected = if k.is_available() { k } else { Kernel::Scalar };
+            assert_eq!(resolve(Some(k.name())), expected, "{k:?}");
         }
-        // Restore the default for other tests in this process.
-        force(None);
+        // No request, `auto`, or an unknown name means detection.
+        for requested in [None, Some("auto"), Some("sse9"), Some("")] {
+            assert_eq!(resolve(requested), Kernel::detect(), "{requested:?}");
+        }
     }
 }

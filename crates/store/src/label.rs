@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The 3-bit (+body) terminal label on a transistor–net edge.
@@ -24,9 +23,7 @@ use std::fmt;
 /// assert_eq!(diode.to_string(), "101");
 /// assert!(diode.has_gate() && diode.has_drain() && !diode.has_source());
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeLabel(u8);
 
 impl EdgeLabel {
