@@ -94,6 +94,16 @@ SHARDS_WITH_TRAFFIC=$(grep -c '^shard [0-9][0-9]*: jobs: [0-9][0-9]* submitted, 
     echo "ERROR: expected traffic on 2 shards, saw $SHARDS_WITH_TRAFFIC"
     exit 1
 }
+# `intra_pool_size` is a per-worker budget, so the fleet line must report
+# the largest shard's value, not the sum over shards.
+SHARD_INTRA=$(sed -n 's/^shard [0-9][0-9]*: .* intra pool: \([0-9][0-9]*\) threads\/worker.*/\1/p' \
+    "$SHARD_DIR/stats.txt" | sort -n | tail -n 1)
+FLEET_INTRA=$(sed -n 's/^fleet: .* intra pool: \([0-9][0-9]*\) threads\/worker.*/\1/p' \
+    "$SHARD_DIR/stats.txt")
+[ -n "$SHARD_INTRA" ] && [ "$FLEET_INTRA" = "$SHARD_INTRA" ] || {
+    echo "ERROR: fleet reports '$FLEET_INTRA' threads/worker, largest shard '$SHARD_INTRA'"
+    exit 1
+}
 ./target/release/gana submit shutdown --addr "$SHARD_ADDR" >/dev/null
 wait "$SHARD_PID"
 for shard in 0 1; do

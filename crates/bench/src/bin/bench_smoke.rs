@@ -547,8 +547,7 @@ fn timing_suite() {
         spmm_kernels[1].name()
     );
     let spmm_pair = measure_batched_interleaved(1, &[1, 1], |slot| {
-        spmm_lap
-            .mul_dense_into_with_kernel(spmm_kernels[slot], spmm_x, &mut spmm_out)
+        gana_sparse::kernel::spmm_rows(spmm_kernels[slot], spmm_lap, spmm_x, &mut spmm_out)
             .expect("multiplies");
     });
     for (name, m) in ["spmm_phased_array_scalar", "spmm_phased_array_dispatch"]

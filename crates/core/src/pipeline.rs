@@ -152,10 +152,11 @@ impl Pipeline {
         self
     }
 
-    /// Sets the intra-request thread budget spent on GCN sparse matmuls
-    /// and per-sub-block / per-template VF2 fan-out. The default is serial;
-    /// the output is bit-identical at any thread count (`gana-par`'s
-    /// determinism contract, enforced by the `parallel_equivalence` tests).
+    /// Sets the intra-request thread budget spent on the per-sub-block
+    /// Postprocessing I and per-template VF2 fan-out; the GCN forward pass
+    /// always runs on the calling thread. The default is serial; the output
+    /// is bit-identical at any thread count (`gana-par`'s determinism
+    /// contract, enforced by the `parallel_equivalence` tests).
     pub fn with_threads(self, threads: usize) -> Pipeline {
         self.with_parallelism(Parallelism::new(threads))
     }
@@ -165,11 +166,6 @@ impl Pipeline {
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Pipeline {
         self.parallelism = parallelism;
         self
-    }
-
-    /// The intra-request thread budget.
-    pub fn parallelism(&self) -> &Parallelism {
-        &self.parallelism
     }
 
     /// Attaches a shared [`Workspace`] whose scratch buffers survive across
@@ -305,9 +301,7 @@ impl Pipeline {
     ///
     /// Propagates model shape errors for any sample in the batch.
     pub fn predict_samples(&self, samples: &[&GraphSample]) -> Result<Vec<Vec<usize>>> {
-        Ok(self
-            .workspace
-            .forward(&self.model, &self.parallelism, samples)?)
+        Ok(self.workspace.forward(&self.model, samples)?)
     }
 
     /// Runs postprocessing and hierarchy construction on externally

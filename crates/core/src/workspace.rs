@@ -17,7 +17,6 @@
 //! workspace-reuse and parallel-equivalence suites enforce this).
 
 use gana_gnn::{GcnModel, GnnWorkspace, GraphSample};
-use gana_par::Parallelism;
 use gana_primitives::MatcherWorkspace;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -70,19 +69,18 @@ impl Workspace {
     pub fn forward(
         &self,
         model: &GcnModel,
-        par: &Parallelism,
         samples: &[&GraphSample],
     ) -> gana_gnn::Result<Vec<Vec<usize>>> {
         match self.gnn.try_lock() {
             Ok(mut ws) => {
-                let out = model.forward(par, samples, &mut ws);
+                let out = model.forward(samples, &mut ws);
                 self.high_water_bytes
                     .fetch_max(ws.heap_bytes() as u64, Ordering::Relaxed);
                 out
             }
             // Contended or poisoned: a temporary workspace produces the
             // identical result, just without the reuse win.
-            Err(_) => model.forward(par, samples, &mut GnnWorkspace::new()),
+            Err(_) => model.forward(samples, &mut GnnWorkspace::new()),
         }
     }
 }

@@ -69,10 +69,7 @@ fn assert_batched_matches_serial(pipeline: &Pipeline, circuits: &[&Circuit], piv
 
     let mut ws = GnnWorkspace::new();
     for (s, expected) in refs.iter().zip(&serial) {
-        let fused = pipeline
-            .model()
-            .forward(pipeline.parallelism(), &[s], &mut ws)
-            .expect("predicts");
+        let fused = pipeline.model().forward(&[s], &mut ws).expect("predicts");
         assert_eq!(&fused[0], expected, "singleton batch");
     }
 

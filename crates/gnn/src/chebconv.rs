@@ -6,7 +6,6 @@
 //! bounded-degree graph, as the paper emphasizes.
 
 use crate::{GnnError, Result};
-use gana_par::Parallelism;
 use gana_sparse::{CsrMatrix, DenseMatrix};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -75,32 +74,14 @@ impl ChebConv {
         self.out_dim
     }
 
-    /// Computes the Chebyshev basis `[T_0(L̂)X, …, T_{K−1}(L̂)X]`.
-    ///
-    /// The recurrence itself is sequential in `k` (each `T_k` needs
-    /// `T_{k−1}`), so the thread budget is spent *inside* each of the `K`
-    /// sparse–dense products, tiled by output rows — which is bit-identical
-    /// to the serial product at any thread count.
-    fn chebyshev_basis(
-        &self,
-        par: &Parallelism,
-        laplacian: &CsrMatrix,
-        x: &DenseMatrix,
-    ) -> Result<Vec<DenseMatrix>> {
-        let mut basis = Vec::with_capacity(self.filter_order());
-        self.chebyshev_basis_into(par, laplacian, x, &mut basis)?;
-        Ok(basis)
-    }
-
-    /// [`ChebConv::chebyshev_basis`] written into reusable buffers: `basis`
-    /// is extended to `K` matrices (reusing existing allocations) and filled
-    /// with exactly the same operation sequence, so the contents are
-    /// byte-identical to the allocating recurrence. The combine step runs
-    /// the fused [`DenseMatrix::scale_axpy`] sweep, which is bit-identical
-    /// to the historical two-pass `scale_in_place` + `axpy` form.
+    /// The Chebyshev basis `[T_0(L̂)X, …, T_{K−1}(L̂)X]` written into
+    /// reusable buffers: `basis` is extended to `K` matrices (reusing
+    /// existing allocations). The recurrence is sequential in `k` (each
+    /// `T_k` needs `T_{k−1}`); the combine step runs the fused
+    /// [`DenseMatrix::scale_axpy`] sweep, which is bit-identical to the
+    /// two-pass `scale_in_place` + `axpy` form.
     fn chebyshev_basis_into(
         &self,
-        par: &Parallelism,
         laplacian: &CsrMatrix,
         x: &DenseMatrix,
         basis: &mut Vec<DenseMatrix>,
@@ -111,19 +92,20 @@ impl ChebConv {
         }
         basis[0].copy_from(x);
         if taps > 1 {
-            laplacian.mul_dense_par_into(par, x, &mut basis[1])?;
+            laplacian.mul_dense_into(x, &mut basis[1])?;
         }
         for k in 2..taps {
             // T_k = 2 L̂ T_{k-1} − T_{k-2}, fused into one SIMD sweep.
             let (prev, rest) = basis.split_at_mut(k);
             let t = &mut rest[0];
-            laplacian.mul_dense_par_into(par, &prev[k - 1], t)?;
+            laplacian.mul_dense_into(&prev[k - 1], t)?;
             t.scale_axpy(2.0, -1.0, &prev[k - 2])?;
         }
         Ok(())
     }
 
-    /// Forward pass. Returns the output and a cache for [`ChebConv::backward`].
+    /// Training forward pass: [`ChebConv::forward_into`] on fresh buffers,
+    /// keeping the Chebyshev basis as the cache for [`ChebConv::backward`].
     ///
     /// # Errors
     ///
@@ -134,43 +116,18 @@ impl ChebConv {
         laplacian: &CsrMatrix,
         x: &DenseMatrix,
     ) -> Result<(DenseMatrix, ChebConvCache)> {
-        self.forward_with(&Parallelism::serial(), laplacian, x)
-    }
-
-    /// [`ChebConv::forward`] spending the given intra-request thread budget
-    /// on the `K` sparse–dense products. The output is bit-identical to the
-    /// serial forward at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::ShapeMismatch`] if `x` has the wrong number of
-    /// columns or does not match the Laplacian's vertex count.
-    pub fn forward_with(
-        &self,
-        par: &Parallelism,
-        laplacian: &CsrMatrix,
-        x: &DenseMatrix,
-    ) -> Result<(DenseMatrix, ChebConvCache)> {
-        self.check_forward_shapes(laplacian, x)?;
-        let basis = self.chebyshev_basis(par, laplacian, x)?;
-        let mut y = DenseMatrix::zeros(x.rows(), self.out_dim);
-        for (t, w) in basis.iter().zip(&self.weights) {
-            let term = t.matmul(w)?;
-            y.axpy(1.0, &term)?;
-        }
-        for r in 0..y.rows() {
-            for (value, b) in y.row_mut(r).iter_mut().zip(&self.bias) {
-                *value += b;
-            }
-        }
+        let mut basis = Vec::with_capacity(self.filter_order());
+        let mut term = DenseMatrix::default();
+        let mut y = DenseMatrix::default();
+        self.forward_into(laplacian, x, &mut basis, &mut term, &mut y)?;
         Ok((y, ChebConvCache { basis }))
     }
 
-    /// Inference-only [`ChebConv::forward_with`] writing every intermediate
-    /// into caller-owned buffers: the Chebyshev basis into `basis`, the
-    /// per-tap product into `term`, and the layer output into `y`. No cache
-    /// is produced. The operation sequence matches the allocating forward
-    /// exactly, so `y` is byte-identical at any thread count.
+    /// The one forward body, writing every intermediate into caller-owned
+    /// buffers: the Chebyshev basis into `basis`, the per-tap product into
+    /// `term`, and the layer output into `y`. Every kernel overwrites what
+    /// it writes, so `y` is byte-identical whether the buffers are fresh or
+    /// recycled.
     ///
     /// # Errors
     ///
@@ -178,7 +135,6 @@ impl ChebConv {
     /// columns or does not match the Laplacian's vertex count.
     pub fn forward_into(
         &self,
-        par: &Parallelism,
         laplacian: &CsrMatrix,
         x: &DenseMatrix,
         basis: &mut Vec<DenseMatrix>,
@@ -186,7 +142,7 @@ impl ChebConv {
         y: &mut DenseMatrix,
     ) -> Result<()> {
         self.check_forward_shapes(laplacian, x)?;
-        self.chebyshev_basis_into(par, laplacian, x, basis)?;
+        self.chebyshev_basis_into(laplacian, x, basis)?;
         // `basis` may hold more than `K` matrices (a recycled workspace);
         // the zip reads only the first `K`.
         y.resize(x.rows(), self.out_dim);
@@ -202,7 +158,7 @@ impl ChebConv {
         Ok(())
     }
 
-    /// The input-shape validation shared by every forward variant.
+    /// The input-shape validation of [`ChebConv::forward_into`].
     fn check_forward_shapes(&self, laplacian: &CsrMatrix, x: &DenseMatrix) -> Result<()> {
         if x.cols() != self.in_dim {
             return Err(GnnError::ShapeMismatch(format!(
@@ -257,15 +213,19 @@ impl ChebConv {
             .collect::<std::result::Result<_, _>>()?;
         let mut grad_x = projected[0].clone();
         if self.filter_order() > 1 {
-            grad_x.axpy(1.0, &laplacian.mul_dense(&projected[1])?)?;
+            let mut t1 = DenseMatrix::default();
+            laplacian.mul_dense_into(&projected[1], &mut t1)?;
+            grad_x.axpy(1.0, &t1)?;
         }
         // For k ≥ 2, T_k(L̂) applied to projected[k]; reuse the recurrence
         // per tap (K is small — ≤ 60 in the paper's sweep).
         for (k, p) in projected.iter().enumerate().skip(2) {
             let mut t_prev2 = p.clone();
-            let mut t_prev1 = laplacian.mul_dense(p)?;
+            let mut t_prev1 = DenseMatrix::default();
+            laplacian.mul_dense_into(p, &mut t_prev1)?;
             for _ in 2..=k {
-                let mut t = laplacian.mul_dense(&t_prev1)?;
+                let mut t = DenseMatrix::default();
+                laplacian.mul_dense_into(&t_prev1, &mut t)?;
                 t.scale_axpy(2.0, -1.0, &t_prev2)?;
                 t_prev2 = t_prev1;
                 t_prev1 = t;
@@ -367,9 +327,8 @@ mod tests {
         let conv = ChebConv::new(1, 1, 4, &mut r).expect("valid");
         let l = ring_laplacian(5);
         let x = DenseMatrix::from_fn(5, 1, |i, _| (i as f64) - 2.0);
-        let basis = conv
-            .chebyshev_basis(&Parallelism::serial(), &l, &x)
-            .expect("shapes ok");
+        let (_, cache) = conv.forward(&l, &x).expect("shapes ok");
+        let basis = cache.basis;
 
         let ld = l.to_dense();
         let eye = DenseMatrix::identity(5);
@@ -449,17 +408,18 @@ mod tests {
         let conv = ChebConv::new(3, 2, 4, &mut r).expect("valid");
         let l = ring_laplacian(6);
         let x = DenseMatrix::from_fn(6, 3, |i, j| 0.7 * (i as f64) - 0.3 * (j as f64));
-        let par = Parallelism::serial();
-        let (fresh, _) = conv.forward_with(&par, &l, &x).expect("shapes ok");
-        // Dirty, wrongly-shaped buffers must not leak into the result.
-        let mut basis = vec![DenseMatrix::filled(2, 2, 9.0)];
+        let (fresh, cache) = conv.forward(&l, &x).expect("shapes ok");
+        // Dirty, wrongly-shaped buffers must not leak into the result;
+        // a basis longer than `K` keeps its surplus untouched.
+        let mut basis = vec![DenseMatrix::filled(2, 2, 9.0); 6];
         let mut term = DenseMatrix::filled(1, 5, -3.0);
         let mut y = DenseMatrix::filled(4, 4, 1.0);
-        conv.forward_into(&par, &l, &x, &mut basis, &mut term, &mut y)
+        conv.forward_into(&l, &x, &mut basis, &mut term, &mut y)
             .expect("shapes ok");
         assert_eq!(y, fresh);
+        assert_eq!(basis[..4], cache.basis[..]);
         // Second run through the same buffers stays identical.
-        conv.forward_into(&par, &l, &x, &mut basis, &mut term, &mut y)
+        conv.forward_into(&l, &x, &mut basis, &mut term, &mut y)
             .expect("shapes ok");
         assert_eq!(y, fresh);
     }

@@ -18,7 +18,6 @@ use crate::loss::{cross_entropy, softmax, softmax_in_place};
 use crate::sample::GraphSample;
 use crate::workspace::GnnWorkspace;
 use crate::{GnnError, Result};
-use gana_par::Parallelism;
 use gana_sparse::{CsrMatrix, DenseMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -278,7 +277,7 @@ impl GcnModel {
     /// Returns [`GnnError::ShapeMismatch`] if the sample does not match the
     /// model configuration.
     pub fn predict(&self, sample: &GraphSample) -> Result<Vec<usize>> {
-        let mut out = self.forward(&Parallelism::serial(), &[sample], &mut GnnWorkspace::new())?;
+        let mut out = self.forward(&[sample], &mut GnnWorkspace::new())?;
         Ok(out.pop().unwrap_or_default())
     }
 
@@ -297,12 +296,10 @@ impl GcnModel {
     /// per row or per row pair), and every sample's padded size is even at
     /// each pooled level, so stride-2 pooling never pairs rows across a
     /// block boundary. Predictions are therefore **byte-identical** whether
-    /// a sample runs alone or in any batch, at any thread count (the
-    /// intra-request budget tiles each spmm by output rows), and whether
-    /// `ws` is fresh or has served requests of other sizes — the contract
-    /// the `batched_equivalence`, `parallel_equivalence`, and
-    /// `workspace_reuse` suites enforce. An empty batch returns no
-    /// predictions.
+    /// a sample runs alone or in any batch, and whether `ws` is fresh or
+    /// has served requests of other sizes — the contract the
+    /// `batched_equivalence` and `workspace_reuse` suites enforce. The pass
+    /// runs on the caller's thread. An empty batch returns no predictions.
     ///
     /// # Errors
     ///
@@ -310,7 +307,6 @@ impl GcnModel {
     /// model configuration.
     pub fn forward(
         &self,
-        par: &Parallelism,
         samples: &[&GraphSample],
         ws: &mut GnnWorkspace,
     ) -> Result<Vec<Vec<usize>>> {
@@ -347,14 +343,7 @@ impl GcnModel {
                 [only] => only.coarsening.laplacian(l),
                 _ => &ws.fused[l],
             };
-            conv.forward_into(
-                par,
-                laplacian,
-                &ws.x,
-                &mut ws.basis,
-                &mut ws.term,
-                &mut ws.y,
-            )?;
+            conv.forward_into(laplacian, &ws.x, &mut ws.basis, &mut ws.term, &mut ws.y)?;
             if self.config.batch_norm {
                 // `term` is free after the tap loop; use it as the
                 // batch-norm output and swap it into place.
@@ -810,20 +799,6 @@ mod tests {
         assert!(preds.iter().all(|&p| p < 2));
     }
 
-    #[test]
-    fn parallel_predict_is_bit_identical_to_serial() {
-        let model = GcnModel::new(tiny_config()).expect("valid");
-        let sample = tiny_sample();
-        let serial_preds = model.predict(&sample).expect("ok");
-        for threads in [2, 4, 8] {
-            let par = Parallelism::new(threads);
-            let preds = model
-                .forward(&par, &[&sample], &mut GnnWorkspace::new())
-                .expect("ok");
-            assert_eq!(preds[0], serial_preds, "threads={threads}");
-        }
-    }
-
     fn big_sample() -> GraphSample {
         let c = parse(
             "M0 d1 d1 gnd! gnd! NMOS\nM1 d2 d1 gnd! gnd! NMOS\nM2 out in d2 gnd! NMOS\n\
@@ -842,13 +817,12 @@ mod tests {
         let model = GcnModel::new(config).expect("valid");
         let small = tiny_sample();
         let big = big_sample();
-        let par = Parallelism::serial();
         let mut ws = GnnWorkspace::new();
         // Grow, shrink, grow again through one workspace; every run must
         // match a fresh workspace exactly.
         for sample in [&small, &big, &small, &big] {
             let fresh = model.predict(sample).expect("ok");
-            let reused = model.forward(&par, &[sample], &mut ws).expect("ok");
+            let reused = model.forward(&[sample], &mut ws).expect("ok");
             assert_eq!(reused, [fresh]);
         }
         assert!(ws.heap_bytes() > 0);
@@ -861,7 +835,6 @@ mod tests {
         let model = GcnModel::new(config).expect("valid");
         let small = tiny_sample();
         let big = big_sample();
-        let par = Parallelism::serial();
         let mut serial_ws = GnnWorkspace::new();
         let mut batch_ws = GnnWorkspace::new();
         // Mixed-size batches, a singleton, repeats of one sample, and the
@@ -874,10 +847,10 @@ mod tests {
             vec![],
         ];
         for batch in batches {
-            let fused = model.forward(&par, &batch, &mut batch_ws).expect("ok");
+            let fused = model.forward(&batch, &mut batch_ws).expect("ok");
             assert_eq!(fused.len(), batch.len());
             for (sample, preds) in batch.iter().zip(&fused) {
-                let expected = model.forward(&par, &[sample], &mut serial_ws).expect("ok");
+                let expected = model.forward(&[sample], &mut serial_ws).expect("ok");
                 assert_eq!(preds, &expected[0]);
             }
         }

@@ -1,13 +1,18 @@
 //! Scoped worker-pool primitives for intra-request parallelism.
 //!
-//! The GANA pipeline is embarrassingly parallel *below* the request level:
-//! VF2 primitive matching is independent per sub-block (and per template),
-//! and the Chebyshev recurrence is a stack of sparse–dense products whose
-//! row blocks never interact. This crate provides the one abstraction all
-//! of those share — [`Parallelism`], a thread budget plus a deterministic
-//! fork/join [`Parallelism::map`] built on [`std::thread::scope`] — so the
-//! cold pipeline, the incremental pipeline, and the serving engine can
-//! split a request across cores without taking on any new dependencies.
+//! Below the request level, GANA's Postprocessing I is independent per
+//! sub-block and VF2 primitive matching independent per template. This
+//! crate provides the one abstraction both fan-outs share —
+//! [`Parallelism`], a thread budget plus a deterministic fork/join
+//! [`Parallelism::map`] built on [`std::thread::scope`] — so the cold
+//! pipeline, the incremental pipeline, and the serving engine can split
+//! that work across cores without taking on any new dependencies.
+//!
+//! The GCN forward pass does not use it. Its Chebyshev recurrence is
+//! sequential in the tap index, and splitting each tap's sparse–dense
+//! product by rows was slower at 2 and 4 threads than at 1 on a 2-vCPU
+//! machine (EXPERIMENTS.md, "Intra-request threads on 2 vCPUs"), so the
+//! forward pass runs on the request's own thread.
 //!
 //! # Determinism contract
 //!
@@ -15,26 +20,22 @@
 //! item is computed by exactly one worker with no shared mutable state, so
 //! for a pure `f` the output is byte-identical to the serial loop
 //! `items.iter().enumerate().map(f)` regardless of the thread count or
-//! scheduling. Callers split work so that each item's internal arithmetic
-//! matches the serial path (e.g. sparse matmul splits by whole rows, never
-//! within a row's accumulation), which makes the whole pipeline
-//! bit-reproducible at any thread count — an equivalence enforced by the
-//! workspace's `parallel_equivalence` tests.
+//! scheduling, which makes the whole pipeline bit-reproducible at any
+//! thread count — an equivalence enforced by the workspace's
+//! `parallel_equivalence` tests.
 //!
 //! # Budgeting
 //!
 //! A `Parallelism` is cheap to clone and clones share one [`GaugeSnapshot`]
 //! source, so a serving engine can hand the same budget to every worker's
 //! pipeline and observe aggregate intra-request pool pressure in one
-//! place. [`Parallelism::available`] sizes to the machine;
-//! [`joint_budget`] divides the machine between request-level workers and
-//! intra-request threads so the two layers multiplied never oversubscribe
-//! the box.
+//! place. [`joint_budget`] caps the intra-request threads so that
+//! request-level workers and intra-request threads multiplied never
+//! oversubscribe the box.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -117,12 +118,6 @@ impl Parallelism {
             threads: threads.max(1),
             gauge: Arc::new(Gauge::default()),
         }
-    }
-
-    /// A budget sized to [`std::thread::available_parallelism`] (1 when
-    /// that is unavailable).
-    pub fn available() -> Parallelism {
-        Parallelism::new(available_threads())
     }
 
     /// The thread budget.
@@ -217,28 +212,6 @@ impl Parallelism {
             .map(|slot| slot.expect("every index claimed by exactly one worker"))
             .collect()
     }
-
-    /// Splits `0..total` into contiguous ranges and applies `f` to each,
-    /// returning results in range order. The chunk grain is
-    /// `max(min_chunk, ⌈total / (threads × 4)⌉)` — fine enough to balance
-    /// uneven chunks over the budget, coarse enough that per-chunk
-    /// overhead stays negligible. With a serial budget, `f` runs once over
-    /// the whole range.
-    pub fn map_chunks<R, F>(&self, total: usize, min_chunk: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        if total == 0 {
-            return Vec::new();
-        }
-        if self.is_serial() || total <= min_chunk.max(1) {
-            return vec![f(0..total)];
-        }
-        let grain = min_chunk.max(1).max(total.div_ceil(self.threads * 4));
-        let ranges = chunk_ranges(total, grain);
-        self.map(&ranges, |_, range| f(range.clone()))
-    }
 }
 
 /// The machine's available parallelism (1 when undetectable).
@@ -246,14 +219,6 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Splits `0..total` into contiguous ranges of at most `chunk` items.
-pub fn chunk_ranges(total: usize, chunk: usize) -> Vec<Range<usize>> {
-    let chunk = chunk.max(1);
-    (0..total.div_ceil(chunk))
-        .map(|i| (i * chunk)..((i + 1) * chunk).min(total))
-        .collect()
 }
 
 /// Divides the machine between `workers` request-level threads and the
@@ -296,25 +261,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par.map(&empty, |_, &x| x).is_empty());
         assert_eq!(par.map(&[7u32], |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly() {
-        let ranges = chunk_ranges(10, 3);
-        assert_eq!(ranges, vec![0..3, 3..6, 6..9, 9..10]);
-        assert!(chunk_ranges(0, 3).is_empty());
-    }
-
-    #[test]
-    fn map_chunks_covers_total_in_order() {
-        let par = Parallelism::new(3);
-        let ranges = par.map_chunks(100, 1, |r| r);
-        let mut next = 0;
-        for r in ranges {
-            assert_eq!(r.start, next);
-            next = r.end;
-        }
-        assert_eq!(next, 100);
     }
 
     #[test]

@@ -61,11 +61,11 @@ pub struct EngineConfig {
     /// map must stay bounded; an `open` past the limit is rejected with a
     /// structured [`JobError::SessionLimit`].
     pub max_sessions: usize,
-    /// Intra-request thread budget per worker (`0` = auto). Auto divides the
-    /// machine between the request-level workers and each request's internal
-    /// parallelism via [`gana_par::joint_budget`], so
-    /// `workers × intra_threads` never oversubscribes the box. Explicit
-    /// values are capped to that same joint budget.
+    /// Intra-request thread budget per worker, spent on the per-sub-block
+    /// Postprocessing I and per-template VF2 fan-out. Defaults to `1`
+    /// (each request runs on its worker's thread); larger values are
+    /// capped by [`gana_par::joint_budget`], so `workers × intra_threads`
+    /// never oversubscribes the box.
     pub intra_threads: usize,
     /// Largest fused GCN micro-batch a worker assembles from queued
     /// annotate jobs of the same task. `1` (the default) disables batching
@@ -96,7 +96,7 @@ impl Default for EngineConfig {
             result_cache_capacity: 1024,
             region_cache_bytes: IncrementalPipeline::DEFAULT_CACHE_BYTES,
             max_sessions: 64,
-            intra_threads: 0,
+            intra_threads: 1,
             max_batch: 1,
             batch_window_us: 0,
             batch_window_auto: false,
@@ -142,17 +142,11 @@ impl ResultCache {
     }
 }
 
-/// Resolves the per-worker intra-request thread budget: `0` asks for the
-/// automatic [`gana_par::joint_budget`]; explicit requests are honored but
-/// capped to that same budget, so `workers × intra` can never oversubscribe
-/// the machine regardless of configuration.
+/// Resolves the per-worker intra-request thread budget: the request,
+/// at least 1 and capped to [`gana_par::joint_budget`], so `workers × intra`
+/// can never oversubscribe the machine regardless of configuration.
 fn effective_intra_threads(workers: usize, requested: usize, cores: usize) -> usize {
-    let cap = gana_par::joint_budget(workers, cores);
-    if requested == 0 {
-        cap
-    } else {
-        requested.min(cap).max(1)
-    }
+    requested.min(gana_par::joint_budget(workers, cores)).max(1)
 }
 
 fn cache_key(task: Task, netlist: &str) -> u64 {
@@ -445,9 +439,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides the per-worker intra-request thread budget (`0` = auto).
-    /// The effective value is always capped so `workers × intra` stays
-    /// within the machine's joint budget.
+    /// Overrides the per-worker intra-request thread budget (default `1`).
+    /// The effective value is at least 1 and always capped so
+    /// `workers × intra` stays within the machine's joint budget.
     pub fn intra_threads(mut self, threads: usize) -> EngineBuilder {
         self.config.intra_threads = threads;
         self
@@ -1742,7 +1736,8 @@ mod tests {
     fn joint_budget_caps_workers_times_intra() {
         // For every (workers, cores, requested) combination, the effective
         // intra budget must keep workers × intra within the joint budget's
-        // oversubscription ceiling — even when the caller asks for more.
+        // oversubscription ceiling — even when the caller asks for more —
+        // and a request of 0 means 1, not an automatic budget.
         for cores in 1..=16 {
             for workers in 1..=16 {
                 for requested in [0, 1, 3, 64] {
@@ -1752,12 +1747,11 @@ mod tests {
                         workers * intra < cores + workers,
                         "workers={workers} cores={cores} requested={requested} intra={intra}"
                     );
-                    if requested > 0 {
-                        assert!(intra <= requested, "explicit requests are a ceiling");
-                    }
+                    assert!(intra <= requested.max(1), "requests are a ceiling");
                 }
             }
         }
+        assert_eq!(EngineConfig::default().intra_threads, 1);
     }
 
     #[test]

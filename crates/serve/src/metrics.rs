@@ -585,8 +585,8 @@ stats_schema! {
     queue_depth: usize => sum,
     /// Worker threads in the pool.
     workers: usize => sum,
-    /// Per-worker intra-request thread budget.
-    intra_pool_size: usize => sum,
+    /// Per-worker intra-request thread budget; the fleet reports the largest.
+    intra_pool_size: usize => max,
     /// Intra-request pool workers currently executing items (all workers).
     intra_busy: usize => sum,
     /// Intra-request items claimed by no worker yet (all workers).
@@ -1087,5 +1087,21 @@ mod tests {
         assert_eq!(split.kernel, "mixed", "disagreeing shards read mixed");
         let none: [&StatsSnapshot; 0] = [];
         assert_eq!(StatsSnapshot::aggregate(none), StatsSnapshot::default());
+    }
+
+    #[test]
+    fn aggregate_keeps_the_per_worker_intra_budget() {
+        // `intra_pool_size` is a per-worker budget, not a count: two shards
+        // whose workers each spend 2 threads make a fleet of 2 threads per
+        // worker, not 4.
+        let shard = StatsSnapshot {
+            workers: 1,
+            intra_pool_size: 2,
+            ..StatsSnapshot::default()
+        };
+        let fleet = StatsSnapshot::aggregate([&shard, &shard]);
+        assert_eq!(fleet.intra_pool_size, 2);
+        assert_eq!(fleet.workers, 2);
+        assert!(fleet.to_string().contains(" 2 threads/worker,"), "{fleet}");
     }
 }

@@ -1,10 +1,5 @@
-use crate::kernel::{self, Kernel};
+use crate::kernel;
 use crate::{CooMatrix, DenseMatrix, Result, SparseError};
-use gana_par::Parallelism;
-
-/// Smallest number of output rows a parallel spmm worker takes per claim;
-/// below this the spawn/claim overhead dominates the row arithmetic.
-const PAR_ROW_GRAIN: usize = 64;
 
 /// A compressed-sparse-row matrix of `f64`.
 ///
@@ -138,7 +133,8 @@ impl CsrMatrix {
         }
     }
 
-    /// Stacks `blocks` along the diagonal into one block-diagonal matrix.
+    /// Stacks `blocks` along the diagonal into one block-diagonal matrix,
+    /// written into `out` and reusing its heap storage.
     ///
     /// The result has `Σ rows × Σ cols` with block `i` occupying the row
     /// and column ranges offset by the sizes of the blocks before it; all
@@ -150,8 +146,9 @@ impl CsrMatrix {
     /// column indices by the running column offset) — no COO round-trip —
     /// and each fused row keeps its source row's entries in the same
     /// strictly-increasing column order, so per-row accumulation in
-    /// [`CsrMatrix::mul_dense`] is bit-identical to running the source
-    /// block alone.
+    /// [`CsrMatrix::mul_dense_into`] is bit-identical to running the source
+    /// block alone. A caller that assembles a fused operator per request (a
+    /// serving worker's workspace) allocates nothing in steady state.
     ///
     /// An empty slice yields the empty `0 × 0` matrix.
     ///
@@ -162,21 +159,12 @@ impl CsrMatrix {
     ///
     /// let a = CsrMatrix::identity(2);
     /// let b = CsrMatrix::from_diagonal(&[3.0]);
-    /// let f = CsrMatrix::block_diag(&[&a, &b]);
+    /// let mut f = CsrMatrix::default();
+    /// CsrMatrix::block_diag_into(&[&a, &b], &mut f);
     /// assert_eq!(f.shape(), (3, 3));
     /// assert_eq!(f.get(2, 2), 3.0);
     /// assert_eq!(f.get(2, 0), 0.0);
     /// ```
-    pub fn block_diag(blocks: &[&CsrMatrix]) -> CsrMatrix {
-        let mut out = CsrMatrix::default();
-        CsrMatrix::block_diag_into(blocks, &mut out);
-        out
-    }
-
-    /// [`CsrMatrix::block_diag`] writing into an existing matrix, reusing
-    /// its heap storage — the steady-state form for callers that assemble
-    /// a fused operator per request (a serving worker's workspace). The
-    /// result is identical to `block_diag`; only allocation differs.
     pub fn block_diag_into(blocks: &[&CsrMatrix], out: &mut CsrMatrix) {
         out.rows = blocks.iter().map(|b| b.rows).sum();
         out.cols = blocks.iter().map(|b| b.cols).sum();
@@ -305,73 +293,26 @@ impl CsrMatrix {
         Ok(y)
     }
 
-    /// Sparse–dense product `Y = A·X` where `X` is dense.
+    /// Sparse–dense product `Y = A·X` written into `out` (resized and
+    /// zeroed), reusing `out`'s allocation — the hot path of the Chebyshev
+    /// recurrence, cost `O(nnz · X.cols())`, and the only sparse–dense
+    /// product outside the test oracle.
     ///
-    /// This is the hot path of the Chebyshev recurrence: cost `O(nnz · X.cols())`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::ShapeMismatch`] if `X.rows() != self.cols()`.
-    pub fn mul_dense(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        let mut out = DenseMatrix::zeros(self.rows, x.cols());
-        self.mul_dense_into(x, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`CsrMatrix::mul_dense`] written into `out` (resized and zeroed),
-    /// reusing `out`'s allocation. Runs the cache-blocked, register-tiled
-    /// micro-kernel: the output row is cut into fixed-width column tiles
-    /// (`COL_TILE` wide) held in unrolled register accumulators while the
+    /// Runs the [`kernel::active`] micro-kernel ([`kernel::spmm_rows`]):
+    /// the output row is cut into fixed-width column tiles
+    /// ([`kernel::COL_TILE`] wide) held in register accumulators while the
     /// nnz loop streams over the row's stored entries. Every output element
     /// still receives its addends in exactly the naive kernel's order (the
     /// row's entries, first to last), so the result is **bit-identical** to
-    /// [`CsrMatrix::mul_dense_into_naive`] — tiling only reorders work
-    /// *across* independent output elements, never the summation *within*
-    /// one.
+    /// [`CsrMatrix::mul_dense_into_naive`] under every kernel — tiling and
+    /// vectorization only reorder work *across* independent output
+    /// elements, never the summation *within* one.
     ///
     /// # Errors
     ///
     /// Returns [`SparseError::ShapeMismatch`] if `X.rows() != self.cols()`.
     pub fn mul_dense_into(&self, x: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
-        if x.rows() != self.cols {
-            return Err(SparseError::ShapeMismatch {
-                left: self.shape(),
-                right: x.shape(),
-                op: "mul_dense",
-            });
-        }
-        let cols = x.cols();
-        out.resize(self.rows, cols);
-        self.spmm_rows_tiled(kernel::active(), 0..self.rows, x, out.as_mut_slice());
-        Ok(())
-    }
-
-    /// [`CsrMatrix::mul_dense_into`] run with an explicitly chosen kernel
-    /// instead of the process-wide [`kernel::active`] selection — the entry
-    /// point the byte-identity proptests and the `spmm_phased_array_*`
-    /// microbenches use to exercise both the scalar and SIMD paths in one
-    /// process on any box. An unavailable kernel falls back to scalar.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::ShapeMismatch`] if `X.rows() != self.cols()`.
-    pub fn mul_dense_into_with_kernel(
-        &self,
-        kernel: Kernel,
-        x: &DenseMatrix,
-        out: &mut DenseMatrix,
-    ) -> Result<()> {
-        if x.rows() != self.cols {
-            return Err(SparseError::ShapeMismatch {
-                left: self.shape(),
-                right: x.shape(),
-                op: "mul_dense",
-            });
-        }
-        let cols = x.cols();
-        out.resize(self.rows, cols);
-        self.spmm_rows_tiled(kernel, 0..self.rows, x, out.as_mut_slice());
-        Ok(())
+        kernel::spmm_rows(kernel::active(), self, x, out)
     }
 
     /// The straightforward nnz-outer scalar kernel, kept as the bit-for-bit
@@ -401,119 +342,6 @@ impl CsrMatrix {
             }
         }
         Ok(())
-    }
-
-    /// Computes output rows `range` of `self · x` into `dst`, a zeroed
-    /// row-major block of `range.len() × x.cols()`, with the given
-    /// micro-kernel. Shared by the serial and row-parallel entry points so
-    /// both run the identical tile loop.
-    ///
-    /// Per tile, [`kernel::COL_TILE`] accumulators start at the block's
-    /// `0.0` and take the row's stored entries in index order — the same
-    /// per-element addend sequence as the naive kernel — then store once.
-    /// The ragged tail (`x.cols() % COL_TILE` columns) runs the same
-    /// nnz-ordered accumulation with in-place adds on the zeroed
-    /// destination. Every kernel variant honors the byte-identity contract
-    /// documented in [`kernel`], so the choice never changes results.
-    fn spmm_rows_tiled(
-        &self,
-        kernel: Kernel,
-        range: std::ops::Range<usize>,
-        x: &DenseMatrix,
-        dst: &mut [f64],
-    ) {
-        kernel::spmm_rows(
-            kernel,
-            &self.indptr,
-            &self.indices,
-            &self.values,
-            x.as_slice(),
-            x.cols(),
-            range,
-            dst,
-        );
-    }
-
-    /// Row-parallel [`CsrMatrix::mul_dense`] over the given thread budget.
-    ///
-    /// The output is tiled by whole rows, so every row's accumulation runs
-    /// in exactly the serial kernel's order and the result is
-    /// **bit-identical** to [`CsrMatrix::mul_dense`] at any thread count
-    /// (see `gana-par`'s determinism contract). With a serial budget this
-    /// delegates to the serial kernel directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::ShapeMismatch`] if `X.rows() != self.cols()`.
-    pub fn mul_dense_par(&self, par: &Parallelism, x: &DenseMatrix) -> Result<DenseMatrix> {
-        let mut out = DenseMatrix::zeros(self.rows, x.cols());
-        self.mul_dense_par_into(par, x, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`CsrMatrix::mul_dense_par`] written into `out` (resized and zeroed),
-    /// reusing `out`'s allocation; byte-identical to the allocating kernels
-    /// at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::ShapeMismatch`] if `X.rows() != self.cols()`.
-    pub fn mul_dense_par_into(
-        &self,
-        par: &Parallelism,
-        x: &DenseMatrix,
-        out: &mut DenseMatrix,
-    ) -> Result<()> {
-        if par.is_serial() || self.rows <= PAR_ROW_GRAIN {
-            return self.mul_dense_into(x, out);
-        }
-        if x.rows() != self.cols {
-            return Err(SparseError::ShapeMismatch {
-                left: self.shape(),
-                right: x.shape(),
-                op: "mul_dense_par",
-            });
-        }
-        let cols = x.cols();
-        let active = kernel::active();
-        let blocks = par.map_chunks(self.rows, PAR_ROW_GRAIN, |range| {
-            let mut block = vec![0.0; (range.end - range.start) * cols];
-            self.spmm_rows_tiled(active, range.clone(), x, &mut block);
-            (range, block)
-        });
-        out.resize(self.rows, cols);
-        let flat = out.as_mut_slice();
-        for (range, block) in blocks {
-            flat[range.start * cols..range.end * cols].copy_from_slice(&block);
-        }
-        Ok(())
-    }
-
-    /// Transposed sparse–dense product `Y = Aᵀ·X` without materializing `Aᵀ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::ShapeMismatch`] if `X.rows() != self.rows()`.
-    pub fn transpose_mul_dense(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        if x.rows() != self.rows {
-            return Err(SparseError::ShapeMismatch {
-                left: self.shape(),
-                right: x.shape(),
-                op: "transpose_mul_dense",
-            });
-        }
-        let mut out = DenseMatrix::zeros(self.cols, x.cols());
-        for r in 0..self.rows {
-            let src = x.row(r);
-            for i in self.indptr[r]..self.indptr[r + 1] {
-                let v = self.values[i];
-                let dst = out.row_mut(self.indices[i]);
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += v * s;
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Returns `alpha·A + beta·B` as a new CSR matrix.
@@ -595,43 +423,6 @@ impl CsrMatrix {
         self.iter()
             .all(|(r, c, v)| (self.get(c, r) - v).abs() <= tol)
     }
-
-    /// Extracts the square submatrix induced by `keep` (in the given order).
-    ///
-    /// Entry `(i, j)` of the result equals entry `(keep[i], keep[j])` of `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::NotSquare`] if the matrix is rectangular, or
-    /// [`SparseError::IndexOutOfBounds`] if any index in `keep` is out of range.
-    pub fn submatrix(&self, keep: &[usize]) -> Result<CsrMatrix> {
-        if self.rows != self.cols {
-            return Err(SparseError::NotSquare {
-                shape: self.shape(),
-            });
-        }
-        let mut position = vec![usize::MAX; self.rows];
-        for (new, &old) in keep.iter().enumerate() {
-            if old >= self.rows {
-                return Err(SparseError::IndexOutOfBounds {
-                    index: (old, old),
-                    shape: self.shape(),
-                });
-            }
-            position[old] = new;
-        }
-        let mut coo = CooMatrix::new(keep.len(), keep.len());
-        for (new_r, &old_r) in keep.iter().enumerate() {
-            for (old_c, v) in self.row_iter(old_r) {
-                let new_c = position[old_c];
-                if new_c != usize::MAX {
-                    coo.push(new_r, new_c, v)
-                        .expect("in bounds by construction");
-                }
-            }
-        }
-        Ok(coo.to_csr())
-    }
 }
 
 #[cfg(test)]
@@ -678,22 +469,26 @@ mod tests {
         assert!(a.mul_vec(&[1.0]).is_err());
     }
 
+    /// `a · x` through the one dispatching product, on a fresh buffer.
+    fn mul(a: &CsrMatrix, x: &DenseMatrix) -> DenseMatrix {
+        let mut out = DenseMatrix::default();
+        a.mul_dense_into(x, &mut out).expect("shapes match");
+        out
+    }
+
+    /// The block-diagonal stack of `blocks`, on a fresh matrix.
+    fn block_diag(blocks: &[&CsrMatrix]) -> CsrMatrix {
+        let mut out = CsrMatrix::default();
+        CsrMatrix::block_diag_into(blocks, &mut out);
+        out
+    }
+
     #[test]
     fn mul_dense_matches_dense_matmul() {
         let a = sample();
         let x = DenseMatrix::from_rows(&[&[1.0, -1.0], &[2.0, 0.5], &[3.0, 2.0]]).expect("valid");
-        let sparse_result = a.mul_dense(&x).expect("shapes match");
         let dense_result = a.to_dense().matmul(&x).expect("shapes match");
-        assert_eq!(sparse_result, dense_result);
-    }
-
-    #[test]
-    fn transpose_mul_dense_matches_explicit_transpose() {
-        let a = sample();
-        let x = DenseMatrix::from_rows(&[&[1.0], &[2.0], &[3.0]]).expect("valid");
-        let fused = a.transpose_mul_dense(&x).expect("shapes match");
-        let explicit = a.transpose().mul_dense(&x).expect("shapes match");
-        assert_eq!(fused, explicit);
+        assert_eq!(mul(&a, &x), dense_result);
     }
 
     #[test]
@@ -747,70 +542,22 @@ mod tests {
     }
 
     #[test]
-    fn submatrix_extracts_induced_block() {
-        let a = sample();
-        let sub = a.submatrix(&[2, 0]).expect("valid indices");
-        // Rows/cols reordered: sub[0][1] = a[2][0] = 4.
-        assert_eq!(sub.get(0, 1), 4.0);
-        assert_eq!(sub.get(1, 1), 1.0);
-        assert_eq!(sub.get(1, 0), 2.0); // a[0][2]
-    }
-
-    #[test]
-    fn submatrix_rejects_bad_index() {
-        let a = sample();
-        assert!(a.submatrix(&[5]).is_err());
-    }
-
-    #[test]
-    fn mul_dense_par_is_bit_identical_to_serial() {
-        // Pseudo-random matrix big enough to exceed the parallel row grain
-        // and split across several chunks.
-        let n = 300;
-        let mut state = 0x243f6a8885a308d3u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 11
-        };
-        let mut coo = CooMatrix::new(n, n);
-        for r in 0..n {
-            for _ in 0..5 {
-                let c = (next() % n as u64) as usize;
-                let v = (next() % 1000) as f64 / 37.0 - 13.0;
-                coo.push(r, c, v).expect("in bounds");
-            }
-        }
-        let a = coo.to_csr();
-        let x = DenseMatrix::from_fn(n, 7, |i, j| ((i * 31 + j * 17) % 101) as f64 / 9.0);
-        let serial = a.mul_dense(&x).expect("shapes match");
-        for threads in [1, 2, 3, 8] {
-            let par = Parallelism::new(threads);
-            let parallel = a.mul_dense_par(&par, &x).expect("shapes match");
-            assert_eq!(serial, parallel, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn mul_dense_into_reuses_buffer_and_matches_fresh() {
         let a = sample();
         let x = DenseMatrix::from_rows(&[&[1.0, -1.0], &[2.0, 0.5], &[3.0, 2.0]]).expect("valid");
-        let fresh = a.mul_dense(&x).expect("shapes match");
+        let fresh = mul(&a, &x);
         let mut reused = DenseMatrix::filled(7, 1, 42.0);
         a.mul_dense_into(&x, &mut reused).expect("shapes match");
-        assert_eq!(reused, fresh);
-        let par = Parallelism::new(3);
-        a.mul_dense_par_into(&par, &x, &mut reused)
-            .expect("shapes match");
         assert_eq!(reused, fresh);
     }
 
     #[test]
-    fn mul_dense_par_rejects_shape_mismatch() {
+    fn mul_dense_into_rejects_shape_mismatch() {
         let a = sample();
-        let par = Parallelism::new(2);
-        assert!(a.mul_dense_par(&par, &DenseMatrix::zeros(5, 2)).is_err());
+        let mut out = DenseMatrix::default();
+        assert!(a
+            .mul_dense_into(&DenseMatrix::zeros(5, 2), &mut out)
+            .is_err());
     }
 
     #[test]
@@ -823,7 +570,7 @@ mod tests {
     fn block_diag_places_blocks_on_the_diagonal() {
         let a = sample();
         let b = CsrMatrix::from_diagonal(&[7.0, -2.0]);
-        let f = CsrMatrix::block_diag(&[&a, &b]);
+        let f = block_diag(&[&a, &b]);
         assert_eq!(f.shape(), (5, 5));
         assert_eq!(f.nnz(), a.nnz() + b.nnz());
         for (r, c, v) in a.iter() {
@@ -838,7 +585,7 @@ mod tests {
 
     #[test]
     fn block_diag_of_nothing_is_empty() {
-        let f = CsrMatrix::block_diag(&[]);
+        let f = block_diag(&[]);
         assert_eq!(f.shape(), (0, 0));
         assert_eq!(f.nnz(), 0);
     }
@@ -847,14 +594,13 @@ mod tests {
     fn block_diag_mul_matches_per_block_products() {
         let a = sample();
         let b = CsrMatrix::identity(2);
-        let f = CsrMatrix::block_diag(&[&a, &b]);
+        let f = block_diag(&[&a, &b]);
         let xa = DenseMatrix::from_fn(3, 4, |i, j| (i * 7 + j) as f64 / 3.0);
         let xb = DenseMatrix::from_fn(2, 4, |i, j| (i + j * 5) as f64 / 7.0);
         let stacked = xa.vstack(&xb).expect("same width");
-        let fused = f.mul_dense(&stacked).expect("shapes match");
-        let ya = a.mul_dense(&xa).expect("shapes match");
-        let yb = b.mul_dense(&xb).expect("shapes match");
-        assert_eq!(fused, ya.vstack(&yb).expect("same width"));
+        let ya = mul(&a, &xa);
+        let yb = mul(&b, &xb);
+        assert_eq!(mul(&f, &stacked), ya.vstack(&yb).expect("same width"));
     }
 
     #[test]

@@ -25,12 +25,13 @@
 //! The active kernel is resolved once, on first use, from the `GANA_KERNEL`
 //! environment variable (`scalar`, `avx2`, `neon`, or `auto`) falling back
 //! to CPU-feature detection; requesting a kernel the CPU cannot run falls
-//! back to scalar rather than faulting. Per-call entry points
-//! ([`crate::CsrMatrix::mul_dense_into_with_kernel`]) bypass the global
-//! selection entirely so both paths are testable in one process on any box.
+//! back to scalar rather than faulting. [`spmm_rows`] takes the kernel as
+//! an argument instead, so the byte-identity proptests and the paired
+//! scalar/dispatch microbench exercise every variant in one process.
 
 #![allow(unsafe_code)]
 
+use crate::{CsrMatrix, DenseMatrix, Result, SparseError};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -126,21 +127,41 @@ pub fn active() -> Kernel {
     *ACTIVE.get_or_init(|| resolve(std::env::var("GANA_KERNEL").ok().as_deref()))
 }
 
-/// Computes output rows `range` of the CSR×dense product into `dst` (a
-/// row-major `range.len() × cols` block) with the given kernel. `x` is the
-/// dense operand's flat row-major data of width `cols`; `dst` must be
-/// zeroed. Falls back to scalar when the requested kernel is unavailable.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spmm_rows(
+/// The CSR×dense product `a · x` written into `out` (resized and zeroed)
+/// with the given kernel — the body of [`CsrMatrix::mul_dense_into`], which
+/// passes [`active`]. Callers that must pin a kernel (the per-kernel
+/// byte-identity proptest, the scalar-vs-dispatch microbench) call this
+/// directly. Falls back to scalar when the requested kernel is unavailable.
+///
+/// Per tile, [`COL_TILE`] accumulators start at `0.0` and take the row's
+/// stored entries in index order — the same per-element addend sequence as
+/// [`CsrMatrix::mul_dense_into_naive`] — then store once. The ragged tail
+/// (`x.cols() % COL_TILE` columns) runs the same nnz-ordered accumulation
+/// with in-place adds on the zeroed output.
+///
+/// # Errors
+///
+/// Returns [`SparseError::ShapeMismatch`] if `x.rows() != a.cols()`.
+pub fn spmm_rows(
     kernel: Kernel,
-    indptr: &[usize],
-    indices: &[usize],
-    values: &[f64],
-    x: &[f64],
-    cols: usize,
-    range: Range<usize>,
-    dst: &mut [f64],
-) {
+    a: &CsrMatrix,
+    x: &DenseMatrix,
+    out: &mut DenseMatrix,
+) -> Result<()> {
+    if x.rows() != a.cols() {
+        return Err(SparseError::ShapeMismatch {
+            left: a.shape(),
+            right: x.shape(),
+            op: "mul_dense",
+        });
+    }
+    let cols = x.cols();
+    out.resize(a.rows(), cols);
+    // `CsrMatrix`'s invariants keep every stored column index below
+    // `a.cols() == x.rows()`, and `out` now holds `a.rows() × cols`, so the
+    // vector kernels' unchecked loads and stores stay in bounds.
+    let (indptr, indices, values) = (a.indptr(), a.indices(), a.values());
+    let (x, range, dst) = (x.as_slice(), 0..a.rows(), out.as_mut_slice());
     match kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 if Kernel::Avx2.is_available() => unsafe {
@@ -152,6 +173,7 @@ pub(crate) fn spmm_rows(
         },
         _ => spmm_rows_scalar(indptr, indices, values, x, cols, range, dst),
     }
+    Ok(())
 }
 
 /// In-place `dst[i] += alpha * src[i]` with the given kernel. The slices
@@ -200,7 +222,7 @@ pub(crate) fn scale_axpy(kernel: Kernel, dst: &mut [f64], alpha: f64, beta: f64,
 }
 
 /// The portable tile loop — the bit-exact reference every SIMD variant must
-/// reproduce. Identical to the pre-dispatch `spmm_rows_tiled` body.
+/// reproduce.
 fn spmm_rows_scalar(
     indptr: &[usize],
     indices: &[usize],

@@ -25,7 +25,8 @@
 //! }
 //! let adj = coo.to_csr();
 //! let x = DenseMatrix::from_rows(&[&[1.0], &[10.0], &[100.0]])?;
-//! let y = adj.mul_dense(&x)?;
+//! let mut y = DenseMatrix::default();
+//! adj.mul_dense_into(&x, &mut y)?;
 //! assert_eq!(y.get(0, 0), 10.0); // neighbor sum of vertex 0
 //! assert_eq!(y.get(1, 0), 101.0);
 //! # Ok(())

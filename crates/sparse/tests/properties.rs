@@ -2,7 +2,7 @@
 //! must agree with dense reference computations, and the spectral helpers
 //! must respect their bounds.
 
-use gana_sparse::{lanczos, CooMatrix, CsrMatrix, DenseMatrix, Kernel};
+use gana_sparse::{kernel, lanczos, CooMatrix, CsrMatrix, DenseMatrix, Kernel};
 use proptest::prelude::*;
 
 /// Every kernel the current CPU can execute — always contains `Scalar`,
@@ -24,6 +24,13 @@ fn sparse_square() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
     })
 }
 
+/// `a · x` through the one dispatching product, on a fresh buffer.
+fn mul(a: &CsrMatrix, x: &DenseMatrix) -> DenseMatrix {
+    let mut out = DenseMatrix::default();
+    a.mul_dense_into(x, &mut out).expect("shapes match");
+    out
+}
+
 fn build(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
     let mut coo = CooMatrix::new(n, n);
     for &(r, c, v) in entries {
@@ -37,20 +44,10 @@ proptest! {
     fn csr_times_dense_matches_dense_reference((n, entries) in sparse_square()) {
         let a = build(n, &entries);
         let x = DenseMatrix::from_fn(n, 3, |r, c| (r as f64) * 0.7 - (c as f64) * 1.3 + 0.1);
-        let sparse = a.mul_dense(&x).expect("shapes match");
+        let sparse = mul(&a, &x);
         let dense = a.to_dense().matmul(&x).expect("shapes match");
         let diff = (&sparse - &dense).frobenius_norm();
         prop_assert!(diff < 1e-9, "sparse/dense disagree by {diff}");
-    }
-
-    #[test]
-    fn transpose_mul_matches_explicit((n, entries) in sparse_square()) {
-        let a = build(n, &entries);
-        let x = DenseMatrix::from_fn(n, 2, |r, c| ((r + 2 * c) as f64).sin());
-        let fused = a.transpose_mul_dense(&x).expect("shapes match");
-        let explicit = a.transpose().mul_dense(&x).expect("shapes match");
-        let diff = (&fused - &explicit).frobenius_norm();
-        prop_assert!(diff < 1e-9);
     }
 
     #[test]
@@ -132,7 +129,8 @@ proptest! {
     ) {
         let blocks: Vec<CsrMatrix> = parts.iter().map(|(n, e)| build(*n, e)).collect();
         let refs: Vec<&CsrMatrix> = blocks.iter().collect();
-        let fused = CsrMatrix::block_diag(&refs);
+        let mut fused = CsrMatrix::default();
+        CsrMatrix::block_diag_into(&refs, &mut fused);
         let feats: Vec<DenseMatrix> = blocks
             .iter()
             .enumerate()
@@ -146,11 +144,10 @@ proptest! {
         for f in &feats[1..] {
             stacked = stacked.vstack(f).expect("same width");
         }
-        let fused_out = fused.mul_dense(&stacked).expect("shapes match");
-        let mut expected = blocks[0].mul_dense(&feats[0]).expect("shapes match");
+        let fused_out = mul(&fused, &stacked);
+        let mut expected = mul(&blocks[0], &feats[0]);
         for (b, f) in blocks[1..].iter().zip(&feats[1..]) {
-            let y = b.mul_dense(f).expect("shapes match");
-            expected = expected.vstack(&y).expect("same width");
+            expected = expected.vstack(&mul(b, f)).expect("same width");
         }
         prop_assert_eq!(&fused_out, &expected);
     }
@@ -171,7 +168,7 @@ proptest! {
         a.mul_dense_into_naive(&x, &mut naive).expect("shapes match");
         for kernel in runnable_kernels() {
             let mut out = DenseMatrix::default();
-            a.mul_dense_into_with_kernel(kernel, &x, &mut out).expect("shapes match");
+            kernel::spmm_rows(kernel, &a, &x, &mut out).expect("shapes match");
             prop_assert_eq!(&out, &naive, "kernel {:?} diverged from naive", kernel);
             let identical = out
                 .as_slice()
@@ -205,17 +202,5 @@ proptest! {
             .zip(two_pass.as_slice())
             .all(|(p, q)| p.to_bits() == q.to_bits());
         prop_assert!(identical, "fused scale_axpy differs from two-pass in low bits");
-    }
-
-    #[test]
-    fn submatrix_agrees_with_dense_indexing((n, entries) in sparse_square()) {
-        let a = build(n, &entries);
-        let keep: Vec<usize> = (0..n).step_by(2).collect();
-        let sub = a.submatrix(&keep).expect("valid indices");
-        for (i, &r) in keep.iter().enumerate() {
-            for (j, &c) in keep.iter().enumerate() {
-                prop_assert_eq!(sub.get(i, j), a.get(r, c));
-            }
-        }
     }
 }
